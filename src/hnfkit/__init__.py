@@ -40,24 +40,8 @@ from .linmul import (
     colmod_mul_tall_square,
     colmod_mul_wide_tall,
 )
-from .massager import (
-    MassagerFail,
-    SmithMassager,
-    smith_decomposition,
-    smith_massager,
-    trim_trivial,
-    verify_massager,
-)
-from .relations import (
-    RelationsInput,
-    compress_modulus,
-    pivot_permutation,
-    relations_basis_oracle,
-    remove_common_divisor,
-    smithify_modulus,
-    strip_trivial,
-    to_smith_coprime,
-)
+from .massager import MassagerFail, SmithMassager, smith_massager, verify_massager
+from .relations import pivot_permutation, relations_basis_oracle, to_smith_coprime
 from .structured_hermite import (
     StageTransform,
     coprime_parts,
@@ -69,19 +53,17 @@ from .structured_hermite import (
 
 __all__ = [
     "DiagonalModulus", "DimensionError", "HBCall", "HermiteBasis", "HowellResult",
-    "IntMat", "MassagerFail", "ParseError", "PreconditionError", "RelationsInput",
-    "SmithForm", "SmithMassager", "StageTransform", "XadicPlan", "base_case",
-    "colmod", "colmod_mul_hermite", "colmod_mul_signed", "colmod_mul_tall_square",
-    "colmod_mul_wide_tall", "compress_modulus", "coprime_parts", "determinant",
-    "format_matrix", "hermite_basis", "hermite_of_stack", "hermite_via_howell",
+    "IntMat", "MassagerFail", "ParseError", "PreconditionError", "SmithForm",
+    "SmithMassager", "StageTransform", "XadicPlan", "base_case", "colmod",
+    "colmod_mul_hermite", "colmod_mul_signed", "colmod_mul_tall_square",
+    "colmod_mul_wide_tall", "coprime_parts", "determinant", "format_matrix",
+    "hermite_basis", "hermite_of_stack", "hermite_via_howell",
     "hermite_with_eliminator", "hnf", "howell_form", "lattice_contains",
     "lattice_equal", "lattice_intersection", "matmul", "multivariable_crt",
     "parse_matrix", "pivot_permutation", "product_hnf", "relations_basis_oracle",
-    "relations_hermite_basis", "remainder_mod_hermite", "remove_common_divisor",
-    "rowmod", "set_invariant_checks", "smith_decomposition", "smith_massager",
-    "smithify_modulus", "stage_apply", "stage_transform", "strip_trivial",
-    "structured_hermite_blocks", "to_smith_coprime", "trim_trivial",
-    "verify_massager",
+    "relations_hermite_basis", "remainder_mod_hermite", "rowmod",
+    "set_invariant_checks", "smith_massager", "stage_apply", "stage_transform",
+    "structured_hermite_blocks", "to_smith_coprime", "verify_massager",
 ]
 
 __version__ = "0.1.0"

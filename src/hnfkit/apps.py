@@ -15,21 +15,11 @@ from .intmat import (
     DimensionError,
     HermiteBasis,
     IntMat,
-    PreconditionError,
     colmod,
-    determinant,
     hstack,
     matneg,
     vstack,
 )
-from .relations import pivot_permutation
-
-
-def _require_full_column_rank(a: IntMat, what: str) -> None:
-    order = pivot_permutation(a)   # raises on rank deficiency
-    block = IntMat([a.row(i) for i in order[:a.cols]], a.cols, a.cols)
-    if determinant(block) == 0:
-        raise PreconditionError(f"{what} does not have full column rank")
 
 
 def hnf(a: IntMat, epsilon: float = 0.5, seed: int | None = None) -> HermiteBasis:
@@ -61,7 +51,9 @@ def product_hnf(a: IntMat, b: IntMat, epsilon: float = 0.5,
 
     Encoded as the relations lattice of the bordered modulus
     [A 0; I B] against [0 I]; the bordering keeps every entry as small as
-    the inputs even when A*B would be dense with huge entries.
+    the inputs even when A*B would be dense with huge entries.  The bordered
+    modulus has full column rank exactly when A*B does, so the solver's pivot
+    selection rejects a rank-deficient product.
     """
     if a.cols != b.rows:
         raise DimensionError("inner dimensions differ")
@@ -69,18 +61,19 @@ def product_hnf(a: IntMat, b: IntMat, epsilon: float = 0.5,
     modulus = vstack(hstack(a, IntMat.zeros(n, p)),
                      hstack(IntMat.identity(m), b))
     g = hstack(IntMat.zeros(p, m), IntMat.identity(p))
-    _require_full_column_rank(modulus, "bordered product modulus")
     return relations_hermite_basis(modulus, g, epsilon, seed=seed)
 
 
 def lattice_intersection(a: IntMat, b: IntMat, epsilon: float = 0.5,
                          seed: int | None = None) -> HermiteBasis:
-    """Hermite basis of L(A) intersected with L(B)."""
+    """Hermite basis of L(A) intersected with L(B).
+
+    The modulus [A 0; 0 B] has full column rank exactly when A and B both
+    do, so the solver's pivot selection rejects a rank-deficient input.
+    """
     if a.cols != b.cols:
         raise DimensionError("lattices live in different dimensions")
     n = a.cols
-    _require_full_column_rank(a, "first lattice")
-    _require_full_column_rank(b, "second lattice")
     modulus = vstack(hstack(a, IntMat.zeros(a.rows, n)),
                      hstack(IntMat.zeros(b.rows, n), b))
     g = hstack(IntMat.identity(n), IntMat.identity(n))

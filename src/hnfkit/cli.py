@@ -11,19 +11,22 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import lcm
 
 from . import apps, oracle, relations
-from .howell import howell_form
+from .howell import hermite_via_howell, howell_form
 from .intmat import (
     DiagonalModulus,
     HermiteBasis,
     IntMat,
     ParseError,
     PreconditionError,
+    colmod,
     format_matrix,
     matmul,
     parse_matrix,
     set_invariant_checks,
+    vstack,
 )
 from .massager import MassagerFail, smith_massager
 
@@ -178,12 +181,18 @@ def _run(args) -> int:
             h = HermiteBasis(_read(args.inputs[0]))   # raises unless valid
             if len(args.inputs) == 3:
                 s = _diag_modulus(_read(args.inputs[1]))
-                f = _read(args.inputs[2])
+                f = colmod(_read(args.inputs[2]), s)   # raises unless S is nonsingular
                 prod = matmul(h.mat, f)
                 for row in prod.data:
                     for v, d in zip(row, s.diag):
                         if v % d != 0:
                             raise PreconditionError("claimed basis does not annihilate F modulo S")
+                # L(H) lies inside the relations lattice, whose index is
+                # det S / det T with T the Hermite basis of L(F) + L(S)
+                t = hermite_via_howell(vstack(f, s.as_matrix()), lcm(*s.diag))
+                if h.determinant() * t.determinant() != s.determinant():
+                    raise PreconditionError("claimed basis has the wrong index: "
+                                            "det H * det T differs from det S")
             print("ok", file=sys.stderr)
         else:   # pragma: no cover
             raise ParseError(f"unknown command {args.command}")

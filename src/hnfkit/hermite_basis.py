@@ -190,17 +190,14 @@ def relations_hermite_basis(m: IntMat, g: IntMat, epsilon: float = 0.5,
     """
     n = g.rows
     s, f = to_smith_coprime(m, g, epsilon / 2, seed=seed)
-    lead = 0
-    while lead < s.dim and s.diag[lead] == 1:
-        lead += 1
-    s_hat = SmithForm(s.diag[lead:])
-    f_hat = f.submatrix(0, n, lead, s.dim)
     k, band = index if index is not None else (0, n)
     if not 0 <= k <= n - band:
         raise PreconditionError("index band out of range")
-    if s_hat.dim > band:
-        raise PreconditionError("claimed index band is narrower than the modulus")
-    pad = band - s_hat.dim
-    s_pad = SmithForm((1,) * pad + s_hat.diag)
-    f_pad = IntMat([[0] * pad + list(row) for row in f_hat.data], n, band)
-    return hermite_basis(HBCall(s_pad, f_pad, k, band, epsilon / 2), trace)
+    if s.dim >= band:
+        # columns with invariant factor 1 are zero, since F is reduced mod S
+        s_band, f_band = _strip_to_band(s, f, band)
+    else:
+        pad = band - s.dim
+        s_band = SmithForm((1,) * pad + s.diag)
+        f_band = IntMat([[0] * pad + list(row) for row in f.data], n, band)
+    return hermite_basis(HBCall(s_band, f_band, k, band, epsilon / 2), trace)

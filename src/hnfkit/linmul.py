@@ -7,8 +7,8 @@ ordinary product is taken, and the digits are recombined modulo the target
 modulus.  X is the smallest power of two whose log covers the average column
 bitlength, which keeps the expanded dimensions below twice the original.
 
-Set `DEBUG_CHECK` (or the global invariant flag) to cross-check every product
-against plain multiply-then-reduce.
+With invariant checks enabled, every product is cross-checked against plain
+multiply-then-reduce.
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ from .intmat import (
     invariant_checks_enabled,
     matmul,
     matsub,
-    rowmod,
 )
-
-DEBUG_CHECK = False
-
-
-def _checking() -> bool:
-    return DEBUG_CHECK or invariant_checks_enabled()
-
 
 @dataclass(frozen=True)
 class XadicPlan:
@@ -165,7 +157,7 @@ def colmod_mul_tall_square(a: IntMat, e: DiagonalModulus, b: IntMat,
     if a.cols != b.rows:
         raise DimensionError("inner dimensions differ")
     result = _tall_square(a, e, b, f)
-    if _checking():
+    if invariant_checks_enabled():
         assert result == colmod(matmul(a, b), f)
     return result
 
@@ -215,7 +207,7 @@ def colmod_mul_signed(a: IntMat, b: IntMat, f: DiagonalModulus) -> IntMat:
     c1 = _tall_square(apos, bounds, b, f)
     c2 = _tall_square(aneg, bounds, b, f)
     result = colmod(matsub(c1, c2), f)
-    if _checking():
+    if invariant_checks_enabled():
         assert result == colmod(matmul(a, b), f)
     return result
 
@@ -245,7 +237,7 @@ def colmod_mul_hermite(h: HermiteBasis, m: IntMat, s: DiagonalModulus) -> IntMat
     prod = _tall_square(hbar, bounds, mbar, s)
     result = IntMat([[(x + y) % d for x, y, d in zip(prow, mrow, s.diag)]
                      for prow, mrow in zip(prod.data, m.data)], n, s.dim)
-    if _checking():
+    if invariant_checks_enabled():
         assert result == colmod(matmul(h.mat, m), s)
     return result
 
@@ -264,7 +256,7 @@ def colmod_mul_wide_tall(a: IntMat, e: DiagonalModulus, b: IntMat,
     if a.cols != b.rows:
         raise DimensionError("inner dimensions differ")
     result = _wide_tall(a, e, b, f)
-    if _checking():
+    if invariant_checks_enabled():
         assert result == colmod(matmul(a, b), f)
     return result
 

@@ -1,12 +1,13 @@
-"""Smith decompositions and reduced Smith massagers.
+"""Reduced Smith massagers.
 
 A Smith massager for a nonsingular M is a pair (S, F) with S the Smith form
 of M, M*F == 0 column-modulo S, and (S, F) coprime; the reduced variant keeps
 F column-reduced modulo S.  The massager compactly carries the denominator
 structure of M^{-1} and is the interchange format of the whole pipeline.
 
-`smith_massager` here is a deterministic engine built on classical iterated
-gcd elimination.  It accepts and ignores a failure-probability argument so a
+`smith_massager` here is a deterministic engine: alternating row and column
+Hermite passes carried out modulo the determinant, tracking only the right
+multiplier, then a gcd/lcm repair of the divisibility chain.  It accepts and ignores a failure-probability argument so a
 Las Vegas engine with the same interface can be dropped in; `MassagerFail` is
 reserved for that purpose and never raised by the deterministic code.
 """
@@ -48,153 +49,8 @@ class SmithMassager:
                     raise PreconditionError("massager F is not reduced column-modulo S")
 
 
-def _row_hermite_pass(a: list[list[int]], u: list[list[int]], n: int) -> None:
-    """In-place row Hermite pass: upper triangular, positive diagonal, entries
-    above each pivot reduced below it.  The left transform accumulates into u.
-    Raises on rank deficiency."""
-    for col in range(n):
-        for i in range(col + 1, n):
-            b = a[i][col]
-            if b == 0:
-                continue
-            p = a[col][col]
-            if p != 0 and b % p == 0:
-                q = b // p
-                a[i] = [x - q * y for x, y in zip(a[i], a[col])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[col])]
-                continue
-            g, uu, vv = modn.ext_gcd(p, b)
-            c21, c22 = -(b // g), p // g
-            ak, ai = a[col], a[i]
-            a[col] = [uu * x + vv * y for x, y in zip(ak, ai)]
-            a[i] = [c21 * x + c22 * y for x, y in zip(ak, ai)]
-            uk, ui = u[col], u[i]
-            u[col] = [uu * x + vv * y for x, y in zip(uk, ui)]
-            u[i] = [c21 * x + c22 * y for x, y in zip(uk, ui)]
-        if a[col][col] == 0:
-            raise PreconditionError("singular input to smith decomposition")
-        if a[col][col] < 0:
-            a[col] = [-x for x in a[col]]
-            u[col] = [-x for x in u[col]]
-        d = a[col][col]
-        for i in range(col):
-            q = a[i][col] // d
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[col])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[col])]
-
-
-def _col_hermite_pass(a: list[list[int]], v: list[list[int]], n: int) -> None:
-    """In-place column Hermite pass: lower triangular, positive diagonal,
-    entries left of each pivot reduced below it.  The right transform
-    accumulates into v."""
-
-    def cols_combine(k, j, c11, c12, c21, c22):
-        for row in a:
-            x, y = row[k], row[j]
-            row[k], row[j] = c11 * x + c12 * y, c21 * x + c22 * y
-        for row in v:
-            x, y = row[k], row[j]
-            row[k], row[j] = c11 * x + c12 * y, c21 * x + c22 * y
-
-    for r in range(n):
-        for j in range(r + 1, n):
-            b = a[r][j]
-            if b == 0:
-                continue
-            p = a[r][r]
-            if p != 0 and b % p == 0:
-                q = b // p
-                for row in a:
-                    row[j] -= q * row[r]
-                for row in v:
-                    row[j] -= q * row[r]
-                continue
-            g, uu, vv = modn.ext_gcd(p, b)
-            cols_combine(r, j, uu, vv, -(b // g), p // g)
-        if a[r][r] == 0:
-            raise PreconditionError("singular input to smith decomposition")
-        if a[r][r] < 0:
-            for row in a:
-                row[r] = -row[r]
-            for row in v:
-                row[r] = -row[r]
-        d = a[r][r]
-        for j in range(r):
-            q = a[r][j] // d
-            if q:
-                for row in a:
-                    row[j] -= q * row[r]
-                for row in v:
-                    row[j] -= q * row[r]
-
-
 def _is_diagonal(a: list[list[int]], n: int) -> bool:
     return all(a[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-
-
-def _smith_core(a: list[list[int]], u: list[list[int]], v: list[list[int]],
-                n: int) -> None:
-    """Drive a (and both transforms) to the Smith diagonal in place."""
-    passes = 0
-    while not _is_diagonal(a, n):
-        _row_hermite_pass(a, u, n)
-        if _is_diagonal(a, n):
-            break
-        _col_hermite_pass(a, v, n)
-        passes += 1
-        if passes > 16 * (n + 4):
-            raise AssertionError("smith reduction failed to converge")
-    for i in range(n):
-        if a[i][i] == 0:
-            raise PreconditionError("singular input to smith decomposition")
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    # divisibility chain repair on the diagonal
-    for i in range(n):
-        for j in range(i + 1, n):
-            di, dj = a[i][i], a[j][j]
-            if dj % di == 0:
-                continue
-            # fold d_j into column i, then split the pair into gcd and lcm
-            for row in a:
-                row[i] += row[j]
-            for row in v:
-                row[i] += row[j]
-            g, uu, vv = modn.ext_gcd(di, dj)
-            c21, c22 = -(dj // g), di // g
-            ai, aj = a[i], a[j]
-            a[i] = [uu * x + vv * y for x, y in zip(ai, aj)]
-            a[j] = [c21 * x + c22 * y for x, y in zip(ai, aj)]
-            ui, uj = u[i], u[j]
-            u[i] = [uu * x + vv * y for x, y in zip(ui, uj)]
-            u[j] = [c21 * x + c22 * y for x, y in zip(ui, uj)]
-            q = a[i][j] // a[i][i]
-            for row in a:
-                row[j] -= q * row[i]
-            for row in v:
-                row[j] -= q * row[i]
-
-
-def smith_decomposition(m: IntMat) -> tuple[IntMat, SmithForm, IntMat]:
-    """Unimodular U, V and Smith form S with U*m*V == diag(S).
-
-    Classical alternating reduction: full row and column Hermite passes are
-    applied in turn until the matrix is diagonal, then a pairwise gcd/lcm
-    repair enforces the divisibility chain.  The Hermite passes keep every
-    entry of the work matrix below the largest diagonal, whose product is the
-    determinant, so intermediate work entries never outgrow determinant size.
-    Raises on singular input.
-    """
-    if not m.is_square():
-        raise DimensionError("smith decomposition needs a square matrix")
-    n = m.rows
-    a = m.to_rows()
-    u = IntMat.identity(n).to_rows()
-    v = IntMat.identity(n).to_rows()
-    _smith_core(a, u, v, n)
-    return IntMat(u, n, n), SmithForm([a[i][i] for i in range(n)]), IntMat(v, n, n)
 
 
 def _row_pass_modd(a: list[list[int]], n: int, d: int) -> None:
@@ -377,14 +233,3 @@ def verify_massager(m: IntMat, mas: SmithMassager) -> bool:
                 return False
     t = structured_hermite.hermite_of_stack(mas.f, mas.s)
     return t.mat == IntMat.identity(mas.s.dim)
-
-
-def trim_trivial(mas: SmithMassager) -> SmithMassager:
-    """Drop leading invariant factors equal to 1 and their F columns."""
-    lead = 0
-    while lead < mas.s.dim and mas.s.diag[lead] == 1:
-        lead += 1
-    if lead == 0:
-        return mas
-    return SmithMassager(SmithForm(mas.s.diag[lead:]),
-                         mas.f.submatrix(0, mas.f.rows, lead, mas.f.cols))

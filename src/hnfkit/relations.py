@@ -2,11 +2,11 @@
 
 The relations lattice of (M, F) is the set of integer rows p with p*F inside
 the row lattice of M.  The routines here rewrite a description (M, F) into
-progressively simpler ones preserving the lattice: modulus compressed to its
-Hermite basis, modulus diagonalized to Smith form, trivial invariant factors
-stripped, and common right divisors removed.  `to_smith_coprime` chains six
-such rewrites to turn an arbitrary full-column-rank modulus into a coprime
-Smith-modulus pair, the input format of the recursive Hermite basis solver.
+progressively simpler ones preserving the lattice.  `to_smith_coprime` chains
+six such rewrites (pivot block, Smith form, compression to a Hermite modulus,
+Smith form, common right divisor removed, Smith form) to turn an arbitrary
+full-column-rank modulus into a coprime Smith-modulus pair, the input format
+of the recursive Hermite basis solver.
 
 `relations_basis_oracle` is ground truth: the Hermite basis of the relations
 lattice read off a naive Hermite computation of the bordered stack
@@ -16,7 +16,6 @@ lattice read off a naive Hermite computation of the bordered stack
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import oracle
 from .intmat import (
@@ -26,7 +25,6 @@ from .intmat import (
     IntMat,
     PreconditionError,
     SmithForm,
-    colmod,
     determinant,
     hstack,
     vstack,
@@ -34,40 +32,6 @@ from .intmat import (
 from .linmul import colmod_mul_signed, colmod_mul_tall_square, column_bitlengths
 from .massager import smith_massager
 from .structured_hermite import coprime_parts, hermite_of_stack
-
-
-@dataclass(frozen=True)
-class RelationsInput:
-    """A relations-lattice description (modulus, F) plus structure flags."""
-
-    modulus: IntMat
-    f: IntMat
-    modulus_is_smith: bool = False
-    inputs_coprime: bool = False
-    reduced: bool = False
-
-    def __post_init__(self):
-        if self.modulus.cols != self.f.cols:
-            raise DimensionError("modulus and F must agree on column count")
-        if self.modulus_is_smith:
-            smith_diagonal(self.modulus)   # raises unless square diagonal chain
-        if self.reduced:
-            d = [self.modulus[j, j] for j in range(self.modulus.cols)]
-            for row in self.f.data:
-                for v, dj in zip(row, d):
-                    if not 0 <= v < dj:
-                        raise PreconditionError("F is flagged reduced but is not")
-
-
-def smith_diagonal(m: IntMat) -> SmithForm:
-    """Interpret a square diagonal matrix as a Smith form, or raise."""
-    if not m.is_square():
-        raise PreconditionError("Smith modulus must be square")
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if i != j and m[i, j] != 0:
-                raise PreconditionError("Smith modulus must be diagonal")
-    return SmithForm([m[i, i] for i in range(m.rows)])
 
 
 def remainder_with_respect_to(f: IntMat, t: HermiteBasis) -> IntMat:
@@ -85,70 +49,6 @@ def remainder_with_respect_to(f: IntMat, t: HermiteBasis) -> IntMat:
                     x[c] -= q * rows[j][c]
         out.append(x)
     return IntMat(out, f.rows, f.cols)
-
-
-def compress_modulus(ri: RelationsInput) -> RelationsInput:
-    """Replace the modulus by its Hermite basis and F by its remainder."""
-    t = oracle.naive_hnf(ri.modulus)
-    fbar = remainder_with_respect_to(ri.f, t)
-    return RelationsInput(t.mat, fbar, modulus_is_smith=_is_smith_matrix(t.mat),
-                          inputs_coprime=ri.inputs_coprime, reduced=True)
-
-
-def smithify_modulus(ri: RelationsInput, epsilon: float = 0.5) -> RelationsInput:
-    """Replace the modulus by the Smith form of its leading square block.
-
-    Square path: (S, W) a Smith massager for M gives the same lattice as
-    (S, colmod(F*W, S)).  Rectangular path: the Smith form of the top block
-    M1 goes on top, with colmod(M2*W, S) stacked beneath as extra modulus
-    rows; the lattice is unchanged.
-    """
-    m = ri.modulus.cols
-    if ri.modulus.rows < m:
-        raise PreconditionError("modulus needs at least as many rows as columns")
-    m1 = ri.modulus.submatrix(0, m, 0, m)
-    mas = smith_massager(m1, epsilon)
-    s, w = mas.s, mas.f
-    fw = colmod_mul_signed(ri.f, w, s)
-    if ri.modulus.rows == m:
-        return RelationsInput(s.as_matrix(), fw, modulus_is_smith=True, reduced=True)
-    m2 = ri.modulus.submatrix(m, ri.modulus.rows, 0, m)
-    m3 = colmod_mul_signed(m2, w, s)
-    return RelationsInput(vstack(s.as_matrix(), m3), fw, modulus_is_smith=False,
-                          reduced=True)
-
-
-def strip_trivial(ri: RelationsInput) -> RelationsInput:
-    """Drop leading columns whose Smith invariant factor is 1."""
-    s = smith_diagonal(ri.modulus)
-    lead = 0
-    while lead < s.dim and s.diag[lead] == 1:
-        lead += 1
-    if lead == 0:
-        return ri
-    return RelationsInput(IntMat.diagonal(s.diag[lead:]),
-                          ri.f.submatrix(0, ri.f.rows, lead, ri.f.cols),
-                          modulus_is_smith=True,
-                          inputs_coprime=ri.inputs_coprime,
-                          reduced=ri.reduced)
-
-
-def remove_common_divisor(ri: RelationsInput) -> RelationsInput:
-    """Rewrite (S, F) as a coprime pair (K, C) generating the same lattice."""
-    s = smith_diagonal(ri.modulus)
-    f = colmod(ri.f, s)
-    t = hermite_of_stack(f, s)
-    c, k = coprime_parts(t, f, s)
-    return RelationsInput(k.mat, c, modulus_is_smith=_is_smith_matrix(k.mat),
-                          inputs_coprime=True, reduced=True)
-
-
-def _is_smith_matrix(m: IntMat) -> bool:
-    try:
-        smith_diagonal(m)
-        return True
-    except PreconditionError:
-        return False
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -111,6 +111,16 @@ class TestProductHnf:
                 continue
             assert product_hnf(a, b).mat == expect.mat
 
+    def test_rank_deficient(self):
+        full = IntMat([[2, 1], [0, 3]])
+        low = IntMat([[1, 2], [2, 4]])
+        for a, b in ((full, low), (low, full)):
+            with pytest.raises(PreconditionError):
+                product_hnf(a, b)
+        # A*B is zero although B has full column rank
+        with pytest.raises(PreconditionError):
+            product_hnf(IntMat([[1, 0, 1]]), IntMat([[1], [0], [-1]]))
+
 
 class TestIntersection:
     def test_same_lattice(self, rng):
@@ -136,6 +146,13 @@ class TestIntersection:
             for i in range(m):
                 assert lattice_contains(naive_hnf(a), got.mat.row(i))
                 assert lattice_contains(naive_hnf(b), got.mat.row(i))
+
+    def test_rank_deficient(self):
+        full = IntMat([[2, 1], [0, 3]])
+        for low in (IntMat([[1, 2], [2, 4], [3, 6]]), IntMat([[1, 2]])):
+            for a, b in ((full, low), (low, full)):
+                with pytest.raises(PreconditionError):
+                    lattice_intersection(a, b)
 
 
 class TestMultivariableCrt:

@@ -76,6 +76,11 @@ class TestExitCodes:
         path = write(tmp_path, "sing.mat", "2 2\n1 2\n2 4\n")
         code, _, err = run_cli(["hnf", "--in", path], capsys)
         assert code == 2 and err
+        full = write(tmp_path, "full.mat", "2 2\n2 1\n0 3\n")
+        for cmd in ("product-hnf", "intersect"):
+            for a, b in ((full, path), (path, full)):
+                code, _, err = run_cli([cmd, "--in", a, "--in", b], capsys)
+                assert code == 2 and err
 
 
 class TestMassagerCommand:
@@ -178,6 +183,10 @@ class TestVerifyCommand:
         assert code == 0
         bad = write(tmp_path, "hb.mat", "3 3\n1 2 3\n0 3 7\n0 0 8\n")
         code, _, _ = run_cli(["verify", "--in", bad, "--in", s, "--in", f], capsys)
+        assert code == 2
+        # Hermite and annihilates F, but spans a proper sublattice
+        sub = write(tmp_path, "hs.mat", "3 3\n24 0 0\n0 24 0\n0 0 24\n")
+        code, _, _ = run_cli(["verify", "--in", sub, "--in", s, "--in", f], capsys)
         assert code == 2
 
 

@@ -1,54 +1,13 @@
 import pytest
 
-from hnfkit.intmat import (
-    IntMat,
-    PreconditionError,
-    SmithForm,
-    colmod,
-    matmul,
-)
-from hnfkit.massager import (
-    SmithMassager,
-    smith_decomposition,
-    smith_massager,
-    trim_trivial,
-    verify_massager,
-)
-from hnfkit.oracle import naive_hnf
+from hnfkit.intmat import IntMat, PreconditionError, SmithForm
+from hnfkit.massager import SmithMassager, smith_massager, verify_massager
+from hnfkit.oracle import naive_hnf, naive_smith
 from hnfkit.relations import relations_basis_oracle
 
 from .conftest import rand_nonsingular
 
 EX4 = IntMat([[1, 2, 3], [4, 5, 6], [7, 8, 1]])
-
-
-class TestSmithDecomposition:
-    def test_golden(self):
-        _, s, _ = smith_decomposition(EX4)
-        assert s.diag == (1, 1, 24)
-
-    def test_identity(self):
-        u, s, v = smith_decomposition(IntMat.identity(3))
-        assert s.diag == (1, 1, 1)
-        assert matmul(matmul(u, IntMat.identity(3)), v) == s.as_matrix()
-
-    def test_diagonal_pair(self):
-        _, s, _ = smith_decomposition(IntMat.diagonal([4, 6]))
-        assert s.diag == (2, 12)
-
-    def test_singular_rejected(self):
-        with pytest.raises(PreconditionError):
-            smith_decomposition(IntMat([[1, 2], [2, 4]]))
-
-    def test_multipliers_unimodular(self, rng):
-        from hnfkit.intmat import determinant
-        for _ in range(40):
-            n = rng.randint(1, 7)
-            m = rand_nonsingular(rng, n, -50, 50)
-            u, s, v = smith_decomposition(m)
-            assert matmul(matmul(u, m), v) == s.as_matrix()
-            assert abs(determinant(u)) == 1
-            assert abs(determinant(v)) == 1
 
 
 class TestSmithMassager:
@@ -60,6 +19,9 @@ class TestSmithMassager:
         mas = SmithMassager(SmithForm([1, 1, 24]),
                             IntMat([[0, 0, 19], [0, 0, 10], [0, 0, 3]]))
         assert verify_massager(EX4, mas)
+        computed = smith_massager(EX4)
+        assert computed.s.diag == (1, 1, 24)
+        assert verify_massager(EX4, computed)
 
     def test_perturbed_pair_fails(self):
         mas = SmithMassager(SmithForm([24]), IntMat([[20], [10], [3]]))
@@ -71,10 +33,15 @@ class TestSmithMassager:
         assert mas.f == IntMat.zeros(3, 3)
 
     def test_diagonal_instance(self):
-        m = IntMat.diagonal([2, 3])
-        mas = smith_massager(m)
-        assert mas.s.diag == (1, 6)
-        assert verify_massager(m, mas)
+        for diag, expect in (([2, 3], (1, 6)), ([4, 6], (2, 12))):
+            m = IntMat.diagonal(diag)
+            mas = smith_massager(m)
+            assert mas.s.diag == expect
+            assert verify_massager(m, mas)
+
+    def test_singular_rejected(self):
+        with pytest.raises(PreconditionError):
+            smith_massager(IntMat([[1, 2], [2, 4]]))
 
     def test_computed_massager_verifies(self, rng):
         for _ in range(300):
@@ -90,6 +57,7 @@ class TestSmithMassager:
             m = rand_nonsingular(rng, n, -50, 50)
             mas = smith_massager(m)
             assert mas.s.determinant() == abs(determinant(m))
+            assert mas.s == naive_smith(m)
 
     def test_minimal_denominator(self, rng):
         # the relations lattice of (S, F) has Hermite basis equal to the
@@ -104,22 +72,3 @@ class TestSmithMassager:
     def test_reduced_invariant_enforced(self):
         with pytest.raises(PreconditionError):
             SmithMassager(SmithForm([4]), IntMat([[5]]))
-
-
-class TestTrimTrivial:
-    def test_drops_leading_units(self):
-        mas = SmithMassager(SmithForm([1, 1, 24]),
-                            IntMat([[0, 0, 19], [0, 0, 10], [0, 0, 3]]))
-        out = trim_trivial(mas)
-        assert out.s.diag == (24,)
-        assert out.f == IntMat([[19], [10], [3]])
-
-    def test_identity_becomes_empty(self):
-        mas = smith_massager(IntMat.identity(2))
-        out = trim_trivial(mas)
-        assert out.s.dim == 0
-        assert out.f == IntMat([[], []], 2, 0)
-
-    def test_no_trivial_factors_unchanged(self):
-        mas = SmithMassager(SmithForm([2, 4]), IntMat([[1, 3], [0, 2]]))
-        assert trim_trivial(mas) == mas

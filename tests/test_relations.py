@@ -3,8 +3,6 @@ import pytest
 from hnfkit.intmat import (
     IntMat,
     PreconditionError,
-    SmithForm,
-    colmod,
     determinant,
     hstack,
     matmul,
@@ -12,15 +10,9 @@ from hnfkit.intmat import (
 )
 from hnfkit.oracle import naive_hnf
 from hnfkit.relations import (
-    RelationsInput,
     apply_row_order,
-    compress_modulus,
     pivot_permutation,
     relations_basis_oracle,
-    remove_common_divisor,
-    smith_diagonal,
-    smithify_modulus,
-    strip_trivial,
     to_smith_coprime,
 )
 
@@ -28,10 +20,6 @@ from .conftest import rand_full_col_rank, rand_mat, rand_nonsingular
 
 EX4 = IntMat([[1, 2, 3], [4, 5, 6], [7, 8, 1]])
 EX4_F = IntMat([[19], [10], [3]])
-
-
-def oracle_basis(ri: RelationsInput):
-    return relations_basis_oracle(ri.modulus, ri.f)
 
 
 class TestRelationsBasisOracle:
@@ -47,108 +35,6 @@ class TestRelationsBasisOracle:
         f = rand_mat(rng, 3, 2)
         h = relations_basis_oracle(IntMat.identity(2), f)
         assert h.mat == IntMat.identity(3)
-
-
-class TestCompressModulus:
-    def test_worked_example(self):
-        ri = RelationsInput(IntMat([[24], [3]]), EX4_F)
-        out = compress_modulus(ri)
-        assert out.modulus == IntMat([[3]])
-        assert out.f == IntMat([[1], [1], [0]])
-
-    def test_fixed_point(self):
-        t = IntMat([[2, 1], [0, 3]])
-        f = IntMat([[1, 2], [0, 1]])
-        out = compress_modulus(RelationsInput(t, f))
-        assert out.modulus == t and out.f == f
-
-    def test_lattice_preserved(self, rng):
-        for _ in range(30):
-            m = rng.randint(1, 4)
-            ri = RelationsInput(rand_full_col_rank(rng, m + rng.randint(0, 2), m),
-                                rand_mat(rng, rng.randint(1, 4), m))
-            out = compress_modulus(ri)
-            assert oracle_basis(out).mat == oracle_basis(ri).mat
-
-
-class TestSmithifyModulus:
-    def test_square_golden(self):
-        ri = RelationsInput(EX4, IntMat.identity(3))
-        out = smithify_modulus(ri)
-        assert smith_diagonal(out.modulus).diag == (1, 1, 24)
-        assert oracle_basis(out).mat == naive_hnf(EX4).mat
-
-    def test_already_smith(self):
-        s = IntMat.diagonal([2, 6])
-        ri = RelationsInput(s, IntMat([[1, 3], [0, 5]]))
-        out = smithify_modulus(ri)
-        assert oracle_basis(out).mat == oracle_basis(ri).mat
-
-    def test_rectangular(self, rng):
-        for _ in range(25):
-            m = rng.randint(1, 3)
-            ell = m + rng.randint(1, 2)
-            modulus = rand_mat(rng, ell, m)
-            if determinant(modulus.submatrix(0, m, 0, m)) == 0:
-                continue
-            ri = RelationsInput(modulus, rand_mat(rng, rng.randint(1, 3), m))
-            out = smithify_modulus(ri)
-            assert out.modulus.rows == ell
-            assert oracle_basis(out).mat == oracle_basis(ri).mat
-
-
-class TestStripTrivial:
-    def test_worked(self):
-        ri = RelationsInput(IntMat.diagonal([1, 1, 24]),
-                            IntMat([[0, 0, 19], [0, 0, 10], [0, 0, 3]]))
-        out = strip_trivial(ri)
-        assert out.modulus == IntMat([[24]])
-        assert out.f == EX4_F
-
-    def test_identity_modulus(self):
-        ri = RelationsInput(IntMat.identity(2), IntMat([[1, 5], [0, 3]]))
-        out = strip_trivial(ri)
-        assert out.modulus.cols == 0
-        assert oracle_basis(ri).mat == IntMat.identity(2)
-
-    def test_nothing_to_strip(self):
-        ri = RelationsInput(IntMat.diagonal([2, 4]), IntMat([[1, 3]]))
-        assert strip_trivial(ri) == ri
-
-
-class TestRemoveCommonDivisor:
-    def test_worked_example(self):
-        ri = RelationsInput(IntMat([[24]]), IntMat([[15], [6], [3]]))
-        out = remove_common_divisor(ri)
-        assert out.modulus == IntMat([[8]])
-        assert out.inputs_coprime
-        # the mid-pipeline pair generates the same lattice as the displayed one
-        assert oracle_basis(out).mat == relations_basis_oracle(
-            IntMat([[8]]), IntMat([[5], [2], [1]])).mat
-
-    def test_already_coprime(self, rng):
-        ri = RelationsInput(IntMat.diagonal([5]), IntMat([[2], [3]]))
-        out = remove_common_divisor(ri)
-        assert out.modulus == IntMat([[5]])
-        assert oracle_basis(out).mat == oracle_basis(ri).mat
-
-    def test_random_coprimality(self, rng):
-        for _ in range(30):
-            m = rng.randint(1, 4)
-            s = IntMat.diagonal([d for d in _chain(rng, m)])
-            f = colmod(rand_mat(rng, rng.randint(1, 4), m), smith_diagonal(s))
-            ri = RelationsInput(s, f, modulus_is_smith=True, reduced=True)
-            out = remove_common_divisor(ri)
-            assert oracle_basis(out).mat == oracle_basis(ri).mat
-            joint = naive_hnf(vstack(out.modulus, out.f))
-            assert joint.mat == IntMat.identity(m)
-
-
-def _chain(rng, m):
-    cur = 1
-    for _ in range(m):
-        cur *= rng.choice([1, 2, 3, 4])
-        yield cur
 
 
 class TestPivotPermutation:
