@@ -20,6 +20,7 @@ from .intmat import (
     DimensionError,
     HermiteBasis,
     IntMat,
+    InternalError,
     ParseError,
     PreconditionError,
     SmithForm,
@@ -53,8 +54,8 @@ from .structured_hermite import (
 
 __all__ = [
     "DiagonalModulus", "DimensionError", "HBCall", "HermiteBasis", "HowellResult",
-    "IntMat", "MassagerFail", "ParseError", "PreconditionError", "SmithForm",
-    "SmithMassager", "StageTransform", "XadicPlan", "base_case", "colmod",
+    "IntMat", "InternalError", "MassagerFail", "ParseError", "PreconditionError",
+    "SmithForm", "SmithMassager", "StageTransform", "XadicPlan", "base_case", "colmod",
     "colmod_mul_hermite", "colmod_mul_signed", "colmod_mul_tall_square",
     "colmod_mul_wide_tall", "coprime_parts", "determinant", "format_matrix",
     "hermite_basis", "hermite_of_stack", "hermite_via_howell",

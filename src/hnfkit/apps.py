@@ -15,6 +15,7 @@ from .intmat import (
     DimensionError,
     HermiteBasis,
     IntMat,
+    InternalError,
     colmod,
     hstack,
     matneg,
@@ -41,7 +42,7 @@ def remainder_mod_hermite(f: IntMat, t: HermiteBasis, epsilon: float = 0.5,
     g = vstack(matneg(f), IntMat.identity(m))
     h = relations_hermite_basis(t.mat, g, epsilon, index=(n, m), seed=seed)
     if h.mat.submatrix(n, n + m, n, n + m) != t.mat:
-        raise AssertionError("relations basis lost its remainder shape")
+        raise InternalError("relations basis lost its remainder shape")
     return h.mat.submatrix(0, n, n, n + m)
 
 

@@ -4,7 +4,7 @@ Every subcommand reads whitespace-separated decimal matrices (two dimension
 tokens, then row-major entries), writes results to stdout or --out, and
 reports diagnostics on stderr.  Exit codes: 0 success, 1 algorithm failure
 (reserved for randomized engines), 2 mathematical precondition violation,
-3 parse or I/O error.
+3 parse or I/O error, 4 internal error (a failed consistency check).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .intmat import (
     DiagonalModulus,
     HermiteBasis,
     IntMat,
+    InternalError,
     ParseError,
     PreconditionError,
     colmod,
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PRECONDITION = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> IntMat:
@@ -215,6 +217,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

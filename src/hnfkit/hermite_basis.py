@@ -24,6 +24,7 @@ from .intmat import (
     DimensionError,
     HermiteBasis,
     IntMat,
+    InternalError,
     PreconditionError,
     SmithForm,
     invariant_checks_enabled,
@@ -101,8 +102,8 @@ def _overlay(h2: HermiteBasis, h1: HermiteBasis, k: int, m1: int, m2: int) -> He
         for j in range(k, k + m1):
             rows[i][j] = h1.mat[i, j]
     out = HermiteBasis(IntMat(rows, n, n), index_k=k, index_m=m1 + m2)
-    if invariant_checks_enabled():
-        assert out.mat == matmul(h2.mat, h1.mat)
+    if invariant_checks_enabled() and out.mat != matmul(h2.mat, h1.mat):
+        raise InternalError("block overlay differs from the product H2*H1")
     return out
 
 

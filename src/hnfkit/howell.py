@@ -19,6 +19,7 @@ from .intmat import (
     DimensionError,
     HermiteBasis,
     IntMat,
+    InternalError,
     PreconditionError,
     SmithForm,
     matmul,
@@ -114,7 +115,7 @@ def _howell(a: IntMat, n: int, transform: bool):
                         target = i
                         break
                 else:
-                    raise AssertionError("ran out of spare rows for a stabilizer")
+                    raise InternalError("ran out of spare rows for a stabilizer")
                 work[target] = srow
                 if transform:
                     urows[target] = _row_scale(urows[piv], t, n)

@@ -14,6 +14,7 @@ sign-following remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Sequence
 
 _INVARIANT_CHECKS = False
@@ -39,6 +40,10 @@ class DimensionError(PreconditionError):
 
 class ParseError(ValueError):
     """Matrix text input is malformed."""
+
+
+class InternalError(RuntimeError):
+    """An internal consistency check failed: a bug, not a bad input."""
 
 
 class IntMat:
@@ -339,12 +344,17 @@ def vstack(*mats: IntMat) -> IntMat:
 
 
 def determinant(a: IntMat) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
+    """Exact determinant: the diagonal product for an upper-triangular input,
+    otherwise Bareiss fraction-free elimination."""
     if not a.is_square():
         raise DimensionError("determinant of a non-square matrix")
     n = a.rows
     if n == 0:
         return 1
+    # the scan stops at the first row with a nonzero entry left of the diagonal
+    rows = a.data
+    if not any(any(rows[i][:i]) for i in range(1, n)):
+        return prod(rows[i][i] for i in range(n))
     m = a.to_rows()
     sign = 1
     prev = 1

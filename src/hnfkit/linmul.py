@@ -20,6 +20,7 @@ from .intmat import (
     DimensionError,
     HermiteBasis,
     IntMat,
+    InternalError,
     PreconditionError,
     colmod,
     invariant_checks_enabled,
@@ -157,8 +158,8 @@ def colmod_mul_tall_square(a: IntMat, e: DiagonalModulus, b: IntMat,
     if a.cols != b.rows:
         raise DimensionError("inner dimensions differ")
     result = _tall_square(a, e, b, f)
-    if invariant_checks_enabled():
-        assert result == colmod(matmul(a, b), f)
+    if invariant_checks_enabled() and result != colmod(matmul(a, b), f):
+        raise InternalError("linearized product differs from the plain product")
     return result
 
 
@@ -207,8 +208,8 @@ def colmod_mul_signed(a: IntMat, b: IntMat, f: DiagonalModulus) -> IntMat:
     c1 = _tall_square(apos, bounds, b, f)
     c2 = _tall_square(aneg, bounds, b, f)
     result = colmod(matsub(c1, c2), f)
-    if invariant_checks_enabled():
-        assert result == colmod(matmul(a, b), f)
+    if invariant_checks_enabled() and result != colmod(matmul(a, b), f):
+        raise InternalError("linearized product differs from the plain product")
     return result
 
 
@@ -237,8 +238,8 @@ def colmod_mul_hermite(h: HermiteBasis, m: IntMat, s: DiagonalModulus) -> IntMat
     prod = _tall_square(hbar, bounds, mbar, s)
     result = IntMat([[(x + y) % d for x, y, d in zip(prow, mrow, s.diag)]
                      for prow, mrow in zip(prod.data, m.data)], n, s.dim)
-    if invariant_checks_enabled():
-        assert result == colmod(matmul(h.mat, m), s)
+    if invariant_checks_enabled() and result != colmod(matmul(h.mat, m), s):
+        raise InternalError("linearized product differs from the plain product")
     return result
 
 
@@ -256,8 +257,8 @@ def colmod_mul_wide_tall(a: IntMat, e: DiagonalModulus, b: IntMat,
     if a.cols != b.rows:
         raise DimensionError("inner dimensions differ")
     result = _wide_tall(a, e, b, f)
-    if invariant_checks_enabled():
-        assert result == colmod(matmul(a, b), f)
+    if invariant_checks_enabled() and result != colmod(matmul(a, b), f):
+        raise InternalError("linearized product differs from the plain product")
     return result
 
 

@@ -21,6 +21,7 @@ from . import modn, structured_hermite
 from .intmat import (
     DimensionError,
     IntMat,
+    InternalError,
     PreconditionError,
     SmithForm,
     colmod,
@@ -157,7 +158,8 @@ def _col_pass_modd(a: list[list[int]], v: list[list[int]], n: int, d: int) -> No
                     row[j] = (row[j] - q * row[r]) % d
 
 
-def smith_massager(m: IntMat, epsilon: float = 0.5) -> SmithMassager:
+def smith_massager(m: IntMat, epsilon: float = 0.5,
+                   det: int | None = None) -> SmithMassager:
     """Reduced Smith massager of a nonsingular matrix.
 
     `epsilon` is the failure-probability budget of the engine interface; the
@@ -168,12 +170,15 @@ def smith_massager(m: IntMat, epsilon: float = 0.5) -> SmithMassager:
     multiplier is never formed.  The reduced massager colmod(V, S) is
     unchanged by the modular tracking because every invariant factor divides
     the determinant.  The invariant-factor product is checked against d.
+
+    A caller that already knows d may pass it as `det`, which must equal
+    |det m| exactly; otherwise it is computed here.
     """
     del epsilon
     if not m.is_square():
         raise DimensionError("smith massager needs a square matrix")
     n = m.rows
-    d = abs(determinant(m))
+    d = abs(determinant(m)) if det is None else det
     if d == 0:
         raise PreconditionError("singular input to smith massager")
     if d == 1:
@@ -188,7 +193,7 @@ def smith_massager(m: IntMat, epsilon: float = 0.5) -> SmithMassager:
         _col_pass_modd(a, v, n, d)
         passes += 1
         if passes > 16 * (n + 4):
-            raise AssertionError("modular smith reduction failed to converge")
+            raise InternalError("modular smith reduction failed to converge")
     diag = [a[i][i] if a[i][i] else d for i in range(n)]
     diag = [gcd(x, d) for x in diag]
     # chain repair on divisors of d; column side folds into the transform
@@ -212,7 +217,7 @@ def smith_massager(m: IntMat, epsilon: float = 0.5) -> SmithMassager:
     for x in diag:
         prod *= x
     if prod != d:
-        raise AssertionError("invariant factor product does not match the determinant")
+        raise InternalError("invariant factor product does not match the determinant")
     s = SmithForm(diag)
     return SmithMassager(s, colmod(IntMat(v, n, n), s))
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .intmat import InternalError
+
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, u, v) with u*a + v*b == g == gcd(a, b) >= 0.
@@ -89,5 +91,6 @@ def unit_stabilizer(a: int, n: int) -> int:
     w = pow(a1, -1, n1) if n1 > 1 else 0
     c = stab(w, n1, n)
     w = (w + c * n1) % n
-    assert gcd(w, n) == 1
+    if gcd(w, n) != 1:
+        raise InternalError("unit stabilizer is not a unit")
     return w

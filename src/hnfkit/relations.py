@@ -23,6 +23,7 @@ from .intmat import (
     DimensionError,
     HermiteBasis,
     IntMat,
+    InternalError,
     PreconditionError,
     SmithForm,
     determinant,
@@ -84,9 +85,9 @@ def _column_bit_budget(m: IntMat) -> int:
     return d + (cols * max(1, cols.bit_length())) // 2
 
 
-def _select_rows_bareiss(m: IntMat) -> list[int]:
+def _select_rows_bareiss(m: IntMat) -> tuple[list[int], int]:
     """Indices of rows forming a nonsingular top block, by fraction-free
-    elimination with row pivoting."""
+    elimination with row pivoting, and |det| of that block (the last pivot)."""
     work = {i: list(row) for i, row in enumerate(m.data)}
     remaining = list(range(m.rows))
     selected = []
@@ -109,7 +110,7 @@ def _select_rows_bareiss(m: IntMat) -> list[int]:
                 ri[j] = (ri[j] * pr[col] - fct * pr[j]) // prev
             ri[col] = 0
         prev = pr[col]
-    return selected
+    return selected, abs(prev)
 
 
 def _select_rows_mod_p(m: IntMat, p: int) -> list[int] | None:
@@ -135,18 +136,21 @@ def _select_rows_mod_p(m: IntMat, p: int) -> list[int] | None:
     return selected
 
 
-def pivot_permutation(m: IntMat, seed: int | None = None) -> tuple[int, ...]:
-    """Row order placing m independent rows of a full-column-rank matrix first.
+def pivot_permutation(m: IntMat, seed: int | None = None
+                      ) -> tuple[tuple[int, ...], int]:
+    """Row order placing m independent rows of a full-column-rank matrix
+    first, and the absolute determinant of that leading block.
 
-    Deterministic by default (exact fraction-free elimination).  With a seed,
-    a randomized modular fast path picks candidate rows modulo random primes
-    and verifies the chosen block exactly, falling back to the deterministic
-    path after four failed primes.
+    Deterministic by default (exact fraction-free elimination, whose last
+    pivot is the determinant).  With a seed, a randomized modular fast path
+    picks candidate rows modulo random primes and verifies the chosen block
+    by its exact determinant, falling back to the deterministic path after
+    four failed primes.
     """
     if m.cols > m.rows:
         raise PreconditionError("more columns than rows: cannot have full column rank")
     if m.cols == 0:
-        return tuple(range(m.rows))
+        return tuple(range(m.rows)), 1
     selected = None
     if seed is not None:
         rng = random.Random(seed)
@@ -159,13 +163,14 @@ def pivot_permutation(m: IntMat, seed: int | None = None) -> tuple[int, ...]:
             if cand is None:
                 continue
             block = IntMat([m.row(i) for i in cand], m.cols, m.cols)
-            if determinant(block) != 0:
+            det = abs(determinant(block))
+            if det != 0:
                 selected = cand
                 break
     if selected is None:
-        selected = _select_rows_bareiss(m)
+        selected, det = _select_rows_bareiss(m)
     rest = [i for i in range(m.rows) if i not in set(selected)]
-    return tuple(selected + rest)
+    return tuple(selected + rest), det
 
 
 def apply_row_order(m: IntMat, order: tuple[int, ...]) -> IntMat:
@@ -182,18 +187,23 @@ def to_smith_coprime(m: IntMat, g: IntMat, epsilon: float = 0.5,
     the common right divisor; massage the result to Smith form.  Each step
     preserves the relations lattice, and the modular products run through the
     partially linearized kernels.
+
+    The pivot selection already knows |det| of the pivot block, so step 2
+    hands it to the massager instead of eliminating the block a second time.
+    The later massager inputs are Hermite bases, whose determinant
+    `determinant` reads off the diagonal.
     """
     if m.cols != g.cols:
         raise DimensionError("modulus and G must agree on column count")
     cols = m.cols
     eps = epsilon / 4
     # 1: permute a nonsingular block to the top
-    order = pivot_permutation(m, seed=seed)
+    order, det = pivot_permutation(m, seed=seed)
     pm = apply_row_order(m, order)
     # 2: Smith form of the pivot block, folded through the massager
     m1 = pm.submatrix(0, cols, 0, cols)
     m2 = pm.submatrix(cols, pm.rows, 0, cols)
-    mas1 = smith_massager(m1, eps)
+    mas1 = smith_massager(m1, eps, det=det)
     s1, v1 = mas1.s, mas1.f
     m3 = colmod_mul_signed(m2, v1, s1)
     g1 = colmod_mul_signed(g, v1, s1)
@@ -228,5 +238,5 @@ def relations_basis_oracle(m: IntMat, f: IntMat) -> HermiteBasis:
                       hstack(f, IntMat.identity(n)))
     h = oracle.naive_hnf(bordered).mat
     if h.submatrix(cols, cols + n, 0, cols) != IntMat.zeros(n, cols):
-        raise AssertionError("bordered Hermite basis lost its block shape")
+        raise InternalError("bordered Hermite basis lost its block shape")
     return HermiteBasis(h.submatrix(cols, cols + n, cols, cols + n))

@@ -26,6 +26,7 @@ from .intmat import (
     DimensionError,
     HermiteBasis,
     IntMat,
+    InternalError,
     PreconditionError,
     SmithForm,
     colmod,
@@ -136,7 +137,8 @@ def structured_hermite_blocks(f: IntMat, t: HermiteBasis, a: IntMat,
         if k_block is not None and kb != k_block:
             raise PreconditionError("inconsistent trailing block across chunks")
         k_block = kb
-    assert k_block is not None
+    if k_block is None:
+        raise InternalError("no chunk produced a trailing block")
     return (IntMat(g_rows, f.rows, m), IntMat(q_rows, f.rows, m),
             IntMat(c_rows, a.rows, m), k_block)
 
@@ -239,7 +241,7 @@ def _check_stage_bound(s_full: SmithForm, sval: int, mbar: int) -> None:
     # bitlength(s) <= 2*bitlength(det S)/mbar + 1 at every stage
     det_bits = max(1, s_full.determinant().bit_length())
     if sval.bit_length() * mbar > 2 * det_bits + mbar:
-        raise AssertionError("stage modulus exceeded the average-bitlength bound")
+        raise InternalError("stage modulus exceeded the average-bitlength bound")
 
 
 def hermite_of_stack(a: IntMat, s: SmithForm) -> HermiteBasis:

@@ -82,6 +82,20 @@ class TestExitCodes:
                 code, _, err = run_cli([cmd, "--in", a, "--in", b], capsys)
                 assert code == 2 and err
 
+    def test_internal_error_is_4(self, tmp_path, capsys, monkeypatch):
+        import hnfkit.cli
+        from hnfkit import InternalError
+
+        def broken(*args, **kwargs):
+            raise InternalError("invariant factor product does not match the determinant")
+
+        monkeypatch.setattr(hnfkit.cli, "smith_massager", broken)
+        path = write(tmp_path, "m.mat", EX4_TEXT)
+        code, out, err = run_cli(["massager", "--in", path], capsys)
+        assert code == 4 and out == ""
+        assert err == ("internal error: invariant factor product does not match "
+                       "the determinant\n")
+
 
 class TestMassagerCommand:
     def test_blocks(self, tmp_path, capsys):

@@ -116,6 +116,28 @@ class TestDeterminant:
             b = rand_mat(rng, n, n, -9, 9)
             assert determinant(matmul(a, b)) == determinant(a) * determinant(b)
 
+    def test_upper_triangular_matches_transpose(self, rng):
+        # an upper-triangular input takes the diagonal product; its transpose
+        # is lower triangular and takes the Bareiss elimination
+        def upper(n):
+            rows = [[rng.randint(-9, 9) if j >= i else 0 for j in range(n)]
+                    for i in range(n)]
+            rows[0][n - 1] = rows[0][n - 1] or 1   # keeps the transpose off the scan
+            return rows
+
+        cases = [IntMat(upper(rng.randint(2, 7))) for _ in range(40)]
+        for _ in range(10):
+            rows = upper(rng.randint(2, 7))
+            i = rng.randrange(len(rows))
+            rows[i][i] = 0
+            cases.append(IntMat(rows))
+        for rows, det in (([[-3, 5, 1], [0, 2, 7], [0, 0, -4]], 24), ([[-2, 9], [0, 5]], -10),
+                          ([[-7]], -7), ([[4, 1, 2], [0, 0, 3], [0, 0, 5]], 0)):
+            assert determinant(IntMat(rows)) == det
+            cases.append(IntMat(rows))
+        for a in cases:
+            assert determinant(a) == determinant(a.transpose())
+
 
 class TestLattice:
     def test_golden_row_membership(self):

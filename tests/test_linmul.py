@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +102,32 @@ class TestTallSquare:
             a = colmod(rand_mat(rng, n, m, 0, 10 ** 6), e)
             b = colmod(rand_mat(rng, m, p, 0, 10 ** 6), f)
             assert colmod_mul_tall_square(a, e, b, f) == colmod(matmul(a, b), f)
+
+
+# Under python -O every `assert` is stripped, so the cross-check must be an
+# explicit raise to catch a wrong product.
+_WRONG_PRODUCT_SCRIPT = """
+from hnfkit import linmul
+from hnfkit.intmat import DiagonalModulus, IntMat, InternalError, set_invariant_checks
+
+assert False, "assertions must be stripped"
+set_invariant_checks(True)
+linmul._tall_square = lambda a, e, b, f: IntMat.zeros(a.rows, f.dim)
+e = DiagonalModulus([4, 2])
+f = DiagonalModulus([4, 4])
+try:
+    linmul.colmod_mul_tall_square(IntMat([[3, 1], [2, 0]]), e, IntMat([[1, 1], [0, 1]]), f)
+except InternalError as exc:
+    print("raised:", exc)
+"""
+
+
+class TestChecksUnderOptimize:
+    def test_wrong_product_raises_under_dash_o(self):
+        proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_PRODUCT_SCRIPT],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised:")
 
 
 class TestSigned:

@@ -53,6 +53,8 @@ class TestSmithMassager:
     def test_singular_rejected(self):
         with pytest.raises(PreconditionError):
             smith_massager(IntMat([[1, 2], [2, 4]]))
+        with pytest.raises(PreconditionError, match="singular input to smith massager"):
+            smith_massager(IntMat([[3, 1, 2], [0, 0, 5], [0, 0, 7]]))
 
     def test_computed_massager_verifies(self, rng):
         for _ in range(300):
@@ -69,6 +71,8 @@ class TestSmithMassager:
             mas = smith_massager(m)
             assert mas.s.determinant() == abs(determinant(m))
             assert mas.s == naive_smith(m)
+            # a caller-supplied determinant gives the same massager
+            assert smith_massager(m, det=abs(determinant(m))) == mas
 
     def test_minimal_denominator(self, rng):
         # the relations lattice of (S, F) has Hermite basis equal to the

@@ -39,22 +39,26 @@ class TestRelationsBasisOracle:
 
 class TestPivotPermutation:
     def test_forced_rows(self):
-        order = pivot_permutation(IntMat([[0, 0], [1, 0], [0, 1]]))
-        assert order[:2] == (1, 2)
+        order, det = pivot_permutation(IntMat([[0, 0], [1, 0], [0, 1]]))
+        assert order[:2] == (1, 2) and det == 1
 
     def test_identity_admissible(self):
-        order = pivot_permutation(IntMat([[2, 1], [0, 3], [5, 5]]))
-        assert order[:2] == (0, 1)
+        order, det = pivot_permutation(IntMat([[2, 1], [0, 3], [5, 5]]))
+        assert order[:2] == (0, 1) and det == 6
 
     def test_random_block_nonsingular(self, rng):
         for _ in range(30):
             m = rng.randint(1, 3)
             a = rand_full_col_rank(rng, m + rng.randint(0, 3), m)
             for seed in (None, 42):
-                order = pivot_permutation(a, seed=seed)
+                order, det = pivot_permutation(a, seed=seed)
                 assert sorted(order) == list(range(a.rows))
                 block = IntMat([a.row(i) for i in order[:m]], m, m)
                 assert determinant(block) != 0
+                assert det == abs(determinant(block))
+        # a modulus with no columns: every order works and the block is empty
+        for seed in (None, 42):
+            assert pivot_permutation(IntMat.zeros(3, 0), seed=seed) == ((0, 1, 2), 1)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(PreconditionError):
@@ -109,10 +113,10 @@ class TestToSmithCoprime:
             modulus = rand_full_col_rank(rng, max(ell, m), m, -15, 15)
             g = rand_mat(rng, rng.randint(1, 4), m, -15, 15)
             expect = relations_basis_oracle(modulus, g).mat
-            order = pivot_permutation(modulus)
+            order, det = pivot_permutation(modulus)
             pm = apply_row_order(modulus, order)
             assert relations_basis_oracle(pm, g).mat == expect
-            mas1 = smith_massager(pm.submatrix(0, m, 0, m))
+            mas1 = smith_massager(pm.submatrix(0, m, 0, m), det=det)
             m3 = colmod_mul_signed(pm.submatrix(m, pm.rows, 0, m), mas1.f, mas1.s)
             g1 = colmod_mul_signed(g, mas1.f, mas1.s)
             stacked = vstack(mas1.s.as_matrix(), m3)
