@@ -1,9 +1,10 @@
 """Hermite normal form bases of integer relations lattices.
 
 Exact integer linear algebra: Hermite and Smith normal forms, Howell forms
-over Z/(N), Smith massagers, partially linearized modular matrix products,
-and a recursive divide-and-conquer solver for the Hermite basis of the
-lattice {p : p*F in L(M)}.
+over Z/(N), Smith massagers, matrix products reduced column-modulo a
+diagonal matrix (with the partially linearized kernels kept as a tested
+reference), and a recursive divide-and-conquer solver for the Hermite basis
+of the lattice {p : p*F in L(M)}.
 """
 
 from .apps import (
@@ -25,6 +26,7 @@ from .intmat import (
     PreconditionError,
     SmithForm,
     colmod,
+    colmod_mul,
     determinant,
     format_matrix,
     lattice_contains,
@@ -56,7 +58,7 @@ __all__ = [
     "DiagonalModulus", "DimensionError", "HBCall", "HermiteBasis", "HowellResult",
     "IntMat", "InternalError", "MassagerFail", "ParseError", "PreconditionError",
     "SmithForm", "SmithMassager", "StageTransform", "XadicPlan", "base_case", "colmod",
-    "colmod_mul_hermite", "colmod_mul_signed", "colmod_mul_tall_square",
+    "colmod_mul", "colmod_mul_hermite", "colmod_mul_signed", "colmod_mul_tall_square",
     "colmod_mul_wide_tall", "coprime_parts", "determinant", "format_matrix",
     "hermite_basis", "hermite_of_stack", "hermite_via_howell",
     "hermite_with_eliminator", "hnf", "howell_form", "lattice_contains",

@@ -4,7 +4,8 @@ Every subcommand reads whitespace-separated decimal matrices (two dimension
 tokens, then row-major entries), writes results to stdout or --out, and
 reports diagnostics on stderr.  Exit codes: 0 success, 1 algorithm failure
 (reserved for randomized engines), 2 mathematical precondition violation,
-3 parse or I/O error, 4 internal error (a failed consistency check).
+3 parse, argument or I/O error, 4 internal error (a failed consistency
+check).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .intmat import (
     PreconditionError,
     colmod,
     format_matrix,
+    invariant_checks_enabled,
     matmul,
     parse_matrix,
     set_invariant_checks,
@@ -69,9 +71,15 @@ def _diag_modulus(m: IntMat) -> DiagonalModulus:
     return DiagonalModulus([m[i, i] for i in range(m.rows)])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become a ParseError, reported like any input error."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="hnfkit",
-                                  description="Hermite bases of integer relations lattices")
+    top = _Parser(prog="hnfkit", description="Hermite bases of integer relations lattices")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, needs_mod=False, needs_rhs=False):
@@ -125,6 +133,7 @@ def _two_inputs(args) -> tuple[IntMat, IntMat]:
 
 
 def _run(args) -> int:
+    checks_were_on = invariant_checks_enabled()
     if args.debug:
         set_invariant_checks(True)
     try:
@@ -199,15 +208,13 @@ def _run(args) -> int:
         else:   # pragma: no cover
             raise ParseError(f"unknown command {args.command}")
     finally:
-        if args.debug:
-            set_invariant_checks(False)
+        set_invariant_checks(checks_were_on)
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(_build_parser().parse_args(argv))
     except MassagerFail as exc:
         print(f"fail: {exc}", file=sys.stderr)
         return EXIT_FAIL

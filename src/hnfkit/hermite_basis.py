@@ -20,17 +20,17 @@ from math import gcd
 from typing import Callable
 
 from .intmat import (
-    DiagonalModulus,
     DimensionError,
     HermiteBasis,
     IntMat,
     InternalError,
     PreconditionError,
     SmithForm,
+    colmod_mul,
     invariant_checks_enabled,
     matmul,
+    require_colreduced,
 )
-from .linmul import colmod_mul_hermite, colmod_mul_tall_square
 from .massager import smith_massager
 from .relations import to_smith_coprime
 from .structured_hermite import coprime_parts, hermite_of_stack
@@ -53,10 +53,7 @@ class HBCall:
             raise DimensionError("S and F must have column dimension m")
         if not 0 <= self.k <= self.f.rows - self.m:
             raise PreconditionError("band index out of range: need 0 <= k <= n - m")
-        for row in self.f.data:
-            for v, d in zip(row, self.s.diag):
-                if not 0 <= v < d:
-                    raise PreconditionError("F must be reduced column-modulo S")
+        require_colreduced(self.f, self.s, "F")
 
 
 def base_case(s: int, f: IntMat, k: int) -> HermiteBasis:
@@ -134,15 +131,15 @@ def hermite_basis(call: HBCall, trace: TraceFn | None = None) -> HermiteBasis:
     t = hermite_of_stack(a, s)
     mas1 = smith_massager(t.mat, eps / 4)
     s1, v1 = mas1.s, mas1.f
-    f1 = colmod_mul_tall_square(f, s, v1, s1)
+    f1 = colmod_mul(f, v1, s1)
     s1bar, f1bar = _strip_to_band(s1, f1, m1)
     h1 = hermite_basis(HBCall(s1bar, f1bar, k, m1, eps / 4), trace)
     # part 2: H2 from the relations lattice of (S, H1*F)
-    b = colmod_mul_hermite(h1, f, s)
+    b = colmod_mul(h1.mat, f, s)
     c, kk = coprime_parts(t, b, s)
     mas2 = smith_massager(kk.mat, eps / 4)
     s2, v2 = mas2.s, mas2.f
-    f2 = colmod_mul_tall_square(c, DiagonalModulus(kk.diagonal()), v2, s2)
+    f2 = colmod_mul(c, v2, s2)
     s2bar, f2bar = _strip_to_band(s2, f2, m2)
     h2 = hermite_basis(HBCall(s2bar, f2bar, k + m1, m2, eps / 4), trace)
     h = _overlay(h2, h1, k, m1, m2)
@@ -166,10 +163,7 @@ def _strip_to_band(s: SmithForm, f: IntMat, band: int) -> tuple[SmithForm, IntMa
 
 
 def _check_result(h: HermiteBasis, s: SmithForm, f: IntMat) -> None:
-    det = 1
-    for d in h.diagonal():
-        det *= d
-    if det != s.determinant():
+    if h.determinant() != s.determinant():
         raise PreconditionError("determinant of the basis differs from det S")
     if invariant_checks_enabled():
         prod = matmul(h.mat, f)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 _INVARIANT_CHECKS = False
@@ -160,10 +161,7 @@ class DiagonalModulus:
             raise PreconditionError("diagonal modulus has a zero entry")
 
     def determinant(self) -> int:
-        p = 1
-        for d in self.diag:
-            p *= d
-        return p
+        return prod(self.diag)
 
     def ceil_log2_det(self) -> int:
         # ceil(log2 det) for a nonsingular modulus; 0 when det == 1
@@ -249,10 +247,7 @@ class HermiteBasis:
         return tuple(self.mat[i, i] for i in range(self.dim))
 
     def determinant(self) -> int:
-        p = 1
-        for d in self.diagonal():
-            p *= d
-        return p
+        return prod(self.diagonal())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HermiteBasis) and self.mat == other.mat
@@ -275,6 +270,17 @@ def colmod(a: IntMat, s: DiagonalModulus) -> IntMat:
                   a.rows, a.cols)
 
 
+def require_colreduced(a: IntMat, mod: DiagonalModulus, what: str) -> None:
+    """Raise unless every entry of `a` lies in [0, d) for its column's d."""
+    if a.cols != mod.dim:
+        raise DimensionError(f"{what}: {a.cols} columns vs modulus of dimension {mod.dim}")
+    mod.require_nonsingular()
+    for row in a.data:
+        for v, d in zip(row, mod.diag):
+            if not 0 <= v < d:
+                raise PreconditionError(f"{what} is not reduced column-modulo its modulus")
+
+
 def rowmod(a: IntMat, s: DiagonalModulus) -> IntMat:
     """Reduce each row of `a` modulo the matching diagonal entry of `s`."""
     if a.rows != s.dim:
@@ -295,6 +301,22 @@ def matmul(a: IntMat, b: IntMat) -> IntMat:
     for arow in a.data:
         out.append([sum(x * y for x, y in zip(arow, bcol)) for bcol in bt])
     return IntMat(out, a.rows, b.cols)
+
+
+def colmod_mul(a: IntMat, b: IntMat, f: DiagonalModulus) -> IntMat:
+    """colmod(a*b, f) for any `a` and `b` reduced column-modulo f; a column
+    whose modulus is 1 is zero by definition and is never multiplied out."""
+    if a.cols != b.rows:
+        raise DimensionError(f"colmod_mul: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    require_colreduced(b, f, "right factor")
+    live = [(j, d, b.column(j)) for j, d in enumerate(f.diag) if d != 1]
+    out = []
+    for arow in a.data:
+        row = [0] * f.dim
+        for j, d, bcol in live:
+            row[j] = sum(map(mul, arow, bcol)) % d
+        out.append(row)
+    return IntMat(out, a.rows, f.dim)
 
 
 def matadd(a: IntMat, b: IntMat) -> IntMat:

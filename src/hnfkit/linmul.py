@@ -1,5 +1,9 @@
 """Matrix products column-modulo a diagonal matrix, via partial linearization.
 
+The four kernels are the paper-faithful, tested reference.  The pipeline
+calls the plain `intmat.colmod_mul` instead: in CPython the linearized
+kernels were measured no faster than native big-integer products.
+
 Each operation here is bit-identical to "multiply exactly, then reduce": the
 linearization is purely a balancing device.  Columns (or rows) whose entries
 are bounded by a diagonal modulus are split into radix-X digit columns, one
@@ -26,7 +30,9 @@ from .intmat import (
     invariant_checks_enabled,
     matmul,
     matsub,
+    require_colreduced,
 )
+
 
 @dataclass(frozen=True)
 class XadicPlan:
@@ -126,16 +132,6 @@ def _mul_rows(a_rows: list[list[int]], b_rows: list[list[int]], width: int) -> l
     return [[sum(x * y for x, y in zip(arow, bcol)) for bcol in bt] for arow in a_rows]
 
 
-def _require_colreduced(a: IntMat, e: DiagonalModulus, what: str) -> None:
-    if a.cols != e.dim:
-        raise DimensionError(f"{what}: column count vs modulus dimension")
-    e.require_nonsingular()
-    for row in a.data:
-        for v, d in zip(row, e.diag):
-            if not 0 <= v < d:
-                raise PreconditionError(f"{what} is not reduced column-modulo its modulus")
-
-
 def _require_rowreduced(a: IntMat, e: DiagonalModulus, what: str) -> None:
     if a.rows != e.dim:
         raise DimensionError(f"{what}: row count vs modulus dimension")
@@ -153,8 +149,8 @@ def colmod_mul_tall_square(a: IntMat, e: DiagonalModulus, b: IntMat,
     Five steps: column-linearize a, row-expand b modulo f, column-linearize
     the expansion, one plain product, column compression modulo f.
     """
-    _require_colreduced(a, e, "left factor")
-    _require_colreduced(b, f, "right factor")
+    require_colreduced(a, e, "left factor")
+    require_colreduced(b, f, "right factor")
     if a.cols != b.rows:
         raise DimensionError("inner dimensions differ")
     result = _tall_square(a, e, b, f)
@@ -164,9 +160,7 @@ def colmod_mul_tall_square(a: IntMat, e: DiagonalModulus, b: IntMat,
 
 
 def _tall_square(a: IntMat, e: DiagonalModulus, b: IntMat, f: DiagonalModulus) -> IntMat:
-    if a.rows == 0 or f.dim == 0:
-        return IntMat.zeros(a.rows, f.dim)
-    if a.cols == 0:
+    if a.rows == 0 or a.cols == 0 or f.dim == 0:
         return IntMat.zeros(a.rows, f.dim)
     d_bits = max(e.ceil_log2_det(), f.ceil_log2_det())
     x = max(choose_radix(d_bits, a.cols), choose_radix(d_bits, f.dim))
@@ -197,7 +191,7 @@ def colmod_mul_signed(a: IntMat, b: IntMat, f: DiagonalModulus) -> IntMat:
     tall-square product on each against power-of-two column bounds, and
     subtracts modulo f.
     """
-    _require_colreduced(b, f, "right factor")
+    require_colreduced(b, f, "right factor")
     if a.cols != b.rows:
         raise DimensionError("inner dimensions differ")
     if a.cols == 0 or a.rows == 0 or f.dim == 0:
@@ -220,7 +214,7 @@ def colmod_mul_hermite(h: HermiteBasis, m: IntMat, s: DiagonalModulus) -> IntMat
     anything, and their entries are bounded by that diagonal.
     """
     n = h.dim
-    _require_colreduced(m, s, "right factor")
+    require_colreduced(m, s, "right factor")
     if m.rows != n:
         raise DimensionError("row count does not match the basis dimension")
     if s.dim > n:
@@ -253,7 +247,7 @@ def colmod_mul_wide_tall(a: IntMat, e: DiagonalModulus, b: IntMat,
     compression modulo f.
     """
     _require_rowreduced(a, e, "left factor")
-    _require_colreduced(b, f, "right factor")
+    require_colreduced(b, f, "right factor")
     if a.cols != b.rows:
         raise DimensionError("inner dimensions differ")
     result = _wide_tall(a, e, b, f)
@@ -264,9 +258,7 @@ def colmod_mul_wide_tall(a: IntMat, e: DiagonalModulus, b: IntMat,
 
 def _wide_tall(a: IntMat, e: DiagonalModulus, b: IntMat, f: DiagonalModulus) -> IntMat:
     mr, inner, p = a.rows, a.cols, f.dim
-    if mr == 0 or p == 0:
-        return IntMat.zeros(mr, p)
-    if inner == 0:
+    if mr == 0 or inner == 0 or p == 0:
         return IntMat.zeros(mr, p)
     d_bits = max(e.ceil_log2_det(), f.ceil_log2_det())
     x = max(choose_radix(d_bits, mr), choose_radix(d_bits, p))
@@ -297,9 +289,7 @@ def _wide_tall(a: IntMat, e: DiagonalModulus, b: IntMat, f: DiagonalModulus) -> 
                for arow, crow in zip(acc, chat.data)]
     # row compression: Horner accumulation of the digit rows, reduced eagerly
     out = []
-    offs = [0]
-    for elen in eplan.lengths:
-        offs.append(offs[-1] + elen)
+    offs = eplan.offsets()
     for i, elen in enumerate(eplan.lengths):
         cur = [0] * p
         for t in range(elen - 1, -1, -1):

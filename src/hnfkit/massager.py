@@ -27,6 +27,7 @@ from .intmat import (
     colmod,
     determinant,
     matmul,
+    require_colreduced,
 )
 
 
@@ -42,12 +43,7 @@ class SmithMassager:
     f: IntMat
 
     def __post_init__(self):
-        if self.f.cols != self.s.dim:
-            raise DimensionError("massager F column count must match dim of S")
-        for row in self.f.data:
-            for v, d in zip(row, self.s.diag):
-                if not 0 <= v < d:
-                    raise PreconditionError("massager F is not reduced column-modulo S")
+        require_colreduced(self.f, self.s, "massager F")
 
 
 def _is_diagonal(a: list[list[int]], n: int) -> bool:

@@ -19,18 +19,18 @@ import random
 
 from . import oracle
 from .intmat import (
-    DiagonalModulus,
     DimensionError,
     HermiteBasis,
     IntMat,
     InternalError,
     PreconditionError,
     SmithForm,
+    colmod_mul,
     determinant,
     hstack,
     vstack,
 )
-from .linmul import colmod_mul_signed, colmod_mul_tall_square, column_bitlengths
+from .linmul import column_bitlengths
 from .massager import smith_massager
 from .structured_hermite import coprime_parts, hermite_of_stack
 
@@ -185,8 +185,8 @@ def to_smith_coprime(m: IntMat, g: IntMat, epsilon: float = 0.5,
     form, folding the rest of M and G through the massager; compress the
     stacked modulus to its Hermite basis; massage that to Smith form; remove
     the common right divisor; massage the result to Smith form.  Each step
-    preserves the relations lattice, and the modular products run through the
-    partially linearized kernels.
+    preserves the relations lattice, and every modular product is one
+    `colmod_mul`.
 
     The pivot selection already knows |det| of the pivot block, so step 2
     hands it to the massager instead of eliminating the block a second time.
@@ -205,22 +205,21 @@ def to_smith_coprime(m: IntMat, g: IntMat, epsilon: float = 0.5,
     m2 = pm.submatrix(cols, pm.rows, 0, cols)
     mas1 = smith_massager(m1, eps, det=det)
     s1, v1 = mas1.s, mas1.f
-    m3 = colmod_mul_signed(m2, v1, s1)
-    g1 = colmod_mul_signed(g, v1, s1)
+    m3 = colmod_mul(m2, v1, s1)
+    g1 = colmod_mul(g, v1, s1)
     # 3: compress the stacked modulus [S1; M3] to its Hermite basis
     t1 = hermite_of_stack(m3, s1)
     # 4: Smith form of the compressed modulus
     mas2 = smith_massager(t1.mat, eps)
     s2, v2 = mas2.s, mas2.f
-    g2 = colmod_mul_tall_square(g1, s1, v2, s2)
+    g2 = colmod_mul(g1, v2, s2)
     # 5: remove the common right divisor
     t2 = hermite_of_stack(g2, s2)
     c, k = coprime_parts(t2, g2, s2)
     # 6: Smith form of the coprime modulus
     mas3 = smith_massager(k.mat, eps)
     s3, v3 = mas3.s, mas3.f
-    kdiag = DiagonalModulus(k.diagonal())
-    f = colmod_mul_tall_square(c, kdiag, v3, s3)
+    f = colmod_mul(c, v3, s3)
     return s3, f
 
 

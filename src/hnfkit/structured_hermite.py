@@ -11,9 +11,9 @@ reduced A:
 Both run the same staged slicing driver: each stage fixes the leading half of
 the columns not yet in Hermite form by solving a small Hermite problem modulo
 the largest invariant factor of that slice, then pushes the transform through
-the trailing columns with partially linearized modular products.  Halving the
-slice each stage keeps every stage's scalar modulus near the average
-invariant-factor bitlength instead of the largest one.
+the trailing columns with plain column-modulo products (`colmod_mul`).
+Halving the slice each stage keeps every stage's scalar modulus near the
+average invariant-factor bitlength instead of the largest one.
 """
 
 from __future__ import annotations
@@ -30,15 +30,16 @@ from .intmat import (
     PreconditionError,
     SmithForm,
     colmod,
+    colmod_mul,
     hstack,
     invariant_checks_enabled,
     lattice_contains,
     matadd,
     matmul,
     matsub,
+    require_colreduced,
     vstack,
 )
-from .linmul import colmod_mul_tall_square, colmod_mul_wide_tall
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,6 @@ class StageTransform:
     c: IntMat
     k: HermiteBasis
     s: int
-
-
-def _require_reduced(a: IntMat, s: SmithForm, what: str) -> None:
-    if a.cols != s.dim:
-        raise DimensionError(f"{what}: column count vs modulus dimension")
-    for row in a.data:
-        for v, d in zip(row, s.diag):
-            if not 0 <= v < d:
-                raise PreconditionError(f"{what} must be reduced column-modulo the Smith form")
 
 
 def structured_hermite_blocks(f: IntMat, t: HermiteBasis, a: IntMat,
@@ -152,8 +144,8 @@ def stage_transform(f1: IntMat, a1: IntMat, s1: SmithForm
     the slice's largest invariant factor is 1 the stage is a no-op with an
     identity block and zero transforms.
     """
-    _require_reduced(f1, s1, "upper slice")
-    _require_reduced(a1, s1, "lower slice")
+    require_colreduced(f1, s1, "upper slice")
+    require_colreduced(a1, s1, "lower slice")
     m1 = s1.dim
     sval = s1.largest
     if sval == 1:
@@ -206,24 +198,16 @@ def stage_apply(tr: StageTransform, f2: IntMat, a2: IntMat, s2: SmithForm
                 ) -> tuple[IntMat, IntMat]:
     """Push one stage's transform through the trailing columns.
 
-    Returns ([F2 + Q*E*A2; E*A2], [A2 + C*E*A2; K*E*A2]), each reduced
-    column-modulo S2.  Three steps: a wide-by-tall product for B = E*A2, one
-    stacked tall-by-square product for [Q; I; C; K]*B, and a modular add.
+    Returns ([F2 + Q*B; B], [A2 + C*B; K*B]) with B = E*A2, each reduced
+    column-modulo S2.  The transform blocks must stay below 2s.
     """
     if f2.cols != s2.dim or a2.cols != s2.dim:
         raise DimensionError("trailing slice does not match its modulus")
-    m1 = tr.k.dim
-    row_bounds = DiagonalModulus((2 * tr.s,) * m1)
-    b = colmod_mul_wide_tall(tr.e, row_bounds, a2, s2)
-    stacked = vstack(tr.q, IntMat.identity(m1), tr.c, tr.k.mat)
-    col_bounds = DiagonalModulus((2 * tr.s,) * m1)
-    prod = colmod_mul_tall_square(stacked, col_bounds, b, s2)
-    qb = prod.submatrix(0, f2.rows, 0, s2.dim)
-    eb = prod.submatrix(f2.rows, f2.rows + m1, 0, s2.dim)
-    cb = prod.submatrix(f2.rows + m1, f2.rows + m1 + a2.rows, 0, s2.dim)
-    kb = prod.submatrix(f2.rows + m1 + a2.rows, f2.rows + 2 * m1 + a2.rows, 0, s2.dim)
-    new_f = vstack(_add_mod(f2, qb, s2), eb)
-    new_a = vstack(_add_mod(a2, cb, s2), kb)
+    for blk in (tr.e, tr.q, tr.c, tr.k.mat):
+        require_colreduced(blk, DiagonalModulus((2 * tr.s,) * blk.cols), "stage transform")
+    b = colmod_mul(tr.e, a2, s2)
+    new_f = vstack(_add_mod(f2, colmod_mul(tr.q, b, s2), s2), b)
+    new_a = vstack(_add_mod(a2, colmod_mul(tr.c, b, s2), s2), colmod_mul(tr.k.mat, b, s2))
     return new_f, new_a
 
 
@@ -251,7 +235,7 @@ def hermite_of_stack(a: IntMat, s: SmithForm) -> HermiteBasis:
     columns not yet in Hermite form, so the scalar modulus of every stage is
     bounded near the average invariant-factor bitlength.
     """
-    _require_reduced(a, s, "stack block")
+    require_colreduced(a, s, "stack block")
     m = s.dim
     if m == 0:
         return HermiteBasis(IntMat.identity(0))
@@ -293,7 +277,7 @@ def coprime_parts(t: HermiteBasis, a: IntMat, s: SmithForm
     and the transform's upper block is zero, so only the A-side products are
     performed.
     """
-    _require_reduced(a, s, "relations input")
+    require_colreduced(a, s, "relations input")
     m = s.dim
     n = a.rows
     if t.dim != m:
@@ -332,8 +316,8 @@ def coprime_parts(t: HermiteBasis, a: IntMat, s: SmithForm
         # residual of the fixed T rows against the trailing slice
         tgam = colmod(t.mat.submatrix(d, d + m1, d + m1, d + mbar), s2)
         ck = vstack(cst, kst)
-        bounds = DiagonalModulus((2 * sval,) * m1)
-        prod = colmod_mul_tall_square(ck, bounds, tgam, s2)
+        require_colreduced(ck, DiagonalModulus((2 * sval,) * m1), "coprime blocks")
+        prod = colmod_mul(ck, tgam, s2)
         new_top = _add_mod(a2, prod.submatrix(0, abar.rows, 0, m2), s2)
         abar = vstack(new_top, prod.submatrix(abar.rows, abar.rows + m1, 0, m2))
         sbar = s2

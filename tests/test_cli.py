@@ -2,7 +2,13 @@ import subprocess
 import sys
 
 from hnfkit.cli import main
-from hnfkit.intmat import IntMat, format_matrix, parse_matrix
+from hnfkit.intmat import (
+    IntMat,
+    format_matrix,
+    invariant_checks_enabled,
+    parse_matrix,
+    set_invariant_checks,
+)
 
 EX4_TEXT = "3 3\n1 2 3\n4 5 6\n7 8 1\n"
 
@@ -44,8 +50,18 @@ class TestHnfCommand:
 
     def test_debug_flag(self, tmp_path, capsys):
         path = write(tmp_path, "m.mat", EX4_TEXT)
-        code, out, _ = run_cli(["hnf", "--in", path, "--debug-invariants"], capsys)
-        assert code == 0
+        try:
+            # the flag turns the checks on for the call and restores the
+            # caller's setting afterwards, whichever it was
+            for before in (True, False):
+                set_invariant_checks(before)
+                code, out, _ = run_cli(["hnf", "--in", path, "--debug-invariants"],
+                                       capsys)
+                assert code == 0
+                assert parse_matrix(out) == IntMat([[1, 2, 3], [0, 3, 6], [0, 0, 8]])
+                assert invariant_checks_enabled() is before
+        finally:
+            set_invariant_checks(False)
 
     def test_out_file(self, tmp_path, capsys):
         path = write(tmp_path, "m.mat", EX4_TEXT)
@@ -67,6 +83,14 @@ class TestExitCodes:
         path = write(tmp_path, "bad.mat", "1 2\n5\n")
         code, _, err = run_cli(["hnf", "--in", path], capsys)
         assert code == 3 and err
+        # argument errors too: one input-error line, no argparse exit 2
+        good = write(tmp_path, "m.mat", EX4_TEXT)
+        for args in (["hnf", "--in", good, "--epsilon", "abc"],
+                     ["howell", "x", "--in", good],
+                     ["relbasis", "--in", good]):
+            code, out, err = run_cli(args, capsys)
+            assert code == 3 and out == ""
+            assert err.startswith("input error: ") and err.count("\n") == 1
 
     def test_missing_file_is_3(self, capsys):
         code, _, _ = run_cli(["hnf", "--in", "/nonexistent/x.mat"], capsys)

@@ -11,6 +11,7 @@ from hnfkit.intmat import (
     PreconditionError,
     SmithForm,
     colmod,
+    colmod_mul,
     determinant,
     format_matrix,
     lattice_contains,
@@ -97,6 +98,36 @@ class TestMatmul:
         a = IntMat([], 2, 0)
         b = IntMat([], 0, 3)
         assert matmul(a, b) == IntMat.zeros(2, 3)
+
+
+class TestColmodMul:
+    def test_matches_colmod_of_product(self, rng):
+        for _ in range(60):
+            n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+            # about half the moduli are 1, some are large
+            f = DiagonalModulus([rng.choice((1, 1, 2, 12, 97, 2**70 + 1))
+                                 for _ in range(m)])
+            a = rand_mat(rng, n, k, -2**80, 2**80)
+            b = colmod(rand_mat(rng, k, m, -2**80, 2**80), f)
+            assert colmod_mul(a, b, f) == colmod(matmul(a, b), f)
+
+    def test_empty_shapes(self):
+        f = DiagonalModulus([5, 1, 7])
+        b = IntMat([[1, 0, 6], [4, 0, 2]])
+        assert colmod_mul(IntMat([], 0, 2), b, f) == IntMat([], 0, 3)
+        assert colmod_mul(IntMat([[3, -4]]), IntMat([[], []], 2, 0),
+                          DiagonalModulus([])) == IntMat([[]], 1, 0)
+        assert colmod_mul(IntMat([], 2, 0), IntMat([], 0, 3), f) == IntMat.zeros(2, 3)
+
+    def test_unreduced_right_factor_rejected(self):
+        f = DiagonalModulus([5, 3])
+        for b in (IntMat([[5, 0]]), IntMat([[0, -1]])):
+            with pytest.raises(PreconditionError):
+                colmod_mul(IntMat([[1]]), b, f)
+
+    def test_inner_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            colmod_mul(IntMat([[1, 2]]), IntMat([[1]]), DiagonalModulus([3]))
 
 
 class TestDeterminant:
