@@ -30,7 +30,6 @@ from .intmat import (
     determinant,
     format_matrix,
     lattice_contains,
-    lattice_equal,
     matmul,
     parse_matrix,
     rowmod,
@@ -43,7 +42,7 @@ from .linmul import (
     colmod_mul_tall_square,
     colmod_mul_wide_tall,
 )
-from .massager import MassagerFail, SmithMassager, smith_massager, verify_massager
+from .massager import SmithMassager, smith_massager, verify_massager
 from .relations import pivot_permutation, relations_basis_oracle, to_smith_coprime
 from .structured_hermite import (
     StageTransform,
@@ -56,13 +55,13 @@ from .structured_hermite import (
 
 __all__ = [
     "DiagonalModulus", "DimensionError", "HBCall", "HermiteBasis", "HowellResult",
-    "IntMat", "InternalError", "MassagerFail", "ParseError", "PreconditionError",
-    "SmithForm", "SmithMassager", "StageTransform", "XadicPlan", "base_case", "colmod",
-    "colmod_mul", "colmod_mul_hermite", "colmod_mul_signed", "colmod_mul_tall_square",
-    "colmod_mul_wide_tall", "coprime_parts", "determinant", "format_matrix",
-    "hermite_basis", "hermite_of_stack", "hermite_via_howell",
-    "hermite_with_eliminator", "hnf", "howell_form", "lattice_contains",
-    "lattice_equal", "lattice_intersection", "matmul", "multivariable_crt",
+    "IntMat", "InternalError", "ParseError", "PreconditionError", "SmithForm",
+    "SmithMassager", "StageTransform", "XadicPlan", "base_case", "colmod",
+    "colmod_mul", "colmod_mul_hermite", "colmod_mul_signed",
+    "colmod_mul_tall_square", "colmod_mul_wide_tall", "coprime_parts",
+    "determinant", "format_matrix", "hermite_basis", "hermite_of_stack",
+    "hermite_via_howell", "hermite_with_eliminator", "hnf", "howell_form",
+    "lattice_contains", "lattice_intersection", "matmul", "multivariable_crt",
     "parse_matrix", "pivot_permutation", "product_hnf", "relations_basis_oracle",
     "relations_hermite_basis", "remainder_mod_hermite", "rowmod",
     "set_invariant_checks", "smith_massager", "stage_apply", "stage_transform",

@@ -2,10 +2,9 @@
 
 Every subcommand reads whitespace-separated decimal matrices (two dimension
 tokens, then row-major entries), writes results to stdout or --out, and
-reports diagnostics on stderr.  Exit codes: 0 success, 1 algorithm failure
-(reserved for randomized engines), 2 mathematical precondition violation,
-3 parse, argument or I/O error, 4 internal error (a failed consistency
-check).
+reports diagnostics on stderr.  Exit codes: 0 success, 2 mathematical
+precondition violation, 3 parse, argument or I/O error, 4 internal error
+(a failed consistency check).  Code 1 is unused.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ from .intmat import (
     set_invariant_checks,
     vstack,
 )
-from .massager import MassagerFail, smith_massager
+from .massager import smith_massager
 
 EXIT_OK = 0
-EXIT_FAIL = 1
 EXIT_PRECONDITION = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
@@ -95,8 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write output here instead of stdout")
         p.add_argument("--seed", dest="seed", type=int, default=None,
                        help="enable the randomized pivot fast path")
-        p.add_argument("--epsilon", dest="epsilon", type=float, default=0.5,
-                       help="failure-probability budget for massager engines")
         p.add_argument("--oracle", dest="use_oracle", action="store_true",
                        help="route through the naive reference path")
         p.add_argument("--debug-invariants", dest="debug", action="store_true",
@@ -139,12 +135,11 @@ def _run(args) -> int:
     try:
         if args.command == "hnf":
             a = _one_input(args)
-            h = oracle.naive_hnf(a) if args.use_oracle else apps.hnf(
-                a, args.epsilon, seed=args.seed)
+            h = oracle.naive_hnf(a) if args.use_oracle else apps.hnf(a, seed=args.seed)
             _emit([h.mat], args.out)
         elif args.command == "massager":
             a = _one_input(args)
-            mas = smith_massager(a, args.epsilon)
+            mas = smith_massager(a)
             _emit([mas.s.as_matrix(), mas.f], args.out)
         elif args.command == "relbasis":
             mod = _read(args.mod)
@@ -153,7 +148,7 @@ def _run(args) -> int:
                 h = relations.relations_basis_oracle(mod, f)
             else:
                 from .hermite_basis import relations_hermite_basis
-                h = relations_hermite_basis(mod, f, args.epsilon, seed=args.seed)
+                h = relations_hermite_basis(mod, f, seed=args.seed)
             _emit([h.mat], args.out)
         elif args.command == "howell":
             a = _one_input(args)
@@ -165,25 +160,24 @@ def _run(args) -> int:
             if args.use_oracle:
                 fbar = relations.remainder_with_respect_to(f, mod)
             else:
-                fbar = apps.remainder_mod_hermite(f, mod, args.epsilon, seed=args.seed)
+                fbar = apps.remainder_mod_hermite(f, mod, seed=args.seed)
             _emit([fbar], args.out)
         elif args.command == "product-hnf":
             a, b = _two_inputs(args)
             if args.use_oracle:
                 h = oracle.naive_hnf(matmul(a, b))
             else:
-                h = apps.product_hnf(a, b, args.epsilon, seed=args.seed)
+                h = apps.product_hnf(a, b, seed=args.seed)
             _emit([h.mat], args.out)
         elif args.command == "intersect":
             a, b = _two_inputs(args)
-            h = apps.lattice_intersection(a, b, args.epsilon, seed=args.seed)
+            h = apps.lattice_intersection(a, b, seed=args.seed)
             _emit([h.mat], args.out)
         elif args.command == "crt":
             mod = _diag_modulus(_read(args.mod))
             a = _one_input(args)
             b = _read(args.rhs)
-            hval, x_p, hbar = apps.multivariable_crt(mod, a, b, args.epsilon,
-                                                     seed=args.seed)
+            hval, x_p, hbar = apps.multivariable_crt(mod, a, b, seed=args.seed)
             _emit([IntMat([[hval]], 1, 1), x_p, hbar.mat], args.out)
         elif args.command == "verify":
             if len(args.inputs) not in (1, 3):
@@ -215,9 +209,6 @@ def _run(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         return _run(_build_parser().parse_args(argv))
-    except MassagerFail as exc:
-        print(f"fail: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -40,13 +40,12 @@ TraceFn = Callable[[dict], None]
 
 @dataclass(frozen=True)
 class HBCall:
-    """One invocation frame: modulus S, reduced F, band (k, m), budget."""
+    """One invocation frame: modulus S, reduced F, band (k, m)."""
 
     s: SmithForm
     f: IntMat
     k: int
     m: int
-    epsilon: float = 0.5
 
     def __post_init__(self):
         if self.s.dim != self.m or self.f.cols != self.m:
@@ -109,12 +108,9 @@ def hermite_basis(call: HBCall, trace: TraceFn | None = None) -> HermiteBasis:
 
     Preconditions: (S, F) coprime and the basis is index (k, m).  Splits the
     band m = floor(m/2) + ceil(m/2), computes H1 from the first part and H2
-    from the second, and overlays.  The failure budget epsilon is split in
-    four between the massager calls and the recursive calls, matching the
-    interface of a Las Vegas massager engine; the deterministic engine
-    ignores it.
+    from the second, and overlays.
     """
-    s, f, k, m, eps = call.s, call.f, call.k, call.m, call.epsilon
+    s, f, k, m = call.s, call.f, call.k, call.m
     n = f.rows
     if m == 0:
         return HermiteBasis(IntMat.identity(n), index_k=k, index_m=0)
@@ -129,19 +125,19 @@ def hermite_basis(call: HBCall, trace: TraceFn | None = None) -> HermiteBasis:
     # part 1: H1 from the relations lattice of ([S; A], F), A = last n-k-m1 rows
     a = f.submatrix(k + m1, n, 0, m)
     t = hermite_of_stack(a, s)
-    mas1 = smith_massager(t.mat, eps / 4)
+    mas1 = smith_massager(t.mat)
     s1, v1 = mas1.s, mas1.f
     f1 = colmod_mul(f, v1, s1)
     s1bar, f1bar = _strip_to_band(s1, f1, m1)
-    h1 = hermite_basis(HBCall(s1bar, f1bar, k, m1, eps / 4), trace)
+    h1 = hermite_basis(HBCall(s1bar, f1bar, k, m1), trace)
     # part 2: H2 from the relations lattice of (S, H1*F)
     b = colmod_mul(h1.mat, f, s)
     c, kk = coprime_parts(t, b, s)
-    mas2 = smith_massager(kk.mat, eps / 4)
+    mas2 = smith_massager(kk.mat)
     s2, v2 = mas2.s, mas2.f
     f2 = colmod_mul(c, v2, s2)
     s2bar, f2bar = _strip_to_band(s2, f2, m2)
-    h2 = hermite_basis(HBCall(s2bar, f2bar, k + m1, m2, eps / 4), trace)
+    h2 = hermite_basis(HBCall(s2bar, f2bar, k + m1, m2), trace)
     h = _overlay(h2, h1, k, m1, m2)
     if trace is not None:
         trace({"kind": "split", "k": k, "m": m, "s": s, "f": f, "t": t,
@@ -173,7 +169,7 @@ def _check_result(h: HermiteBasis, s: SmithForm, f: IntMat) -> None:
                     raise PreconditionError("H*F is not zero column-modulo S")
 
 
-def relations_hermite_basis(m: IntMat, g: IntMat, epsilon: float = 0.5,
+def relations_hermite_basis(m: IntMat, g: IntMat, *,
                             index: tuple[int, int] | None = None,
                             seed: int | None = None,
                             trace: TraceFn | None = None) -> HermiteBasis:
@@ -184,7 +180,7 @@ def relations_hermite_basis(m: IntMat, g: IntMat, epsilon: float = 0.5,
     (k, m) band of the answer; the default is the whole dimension (0, n).
     """
     n = g.rows
-    s, f = to_smith_coprime(m, g, epsilon / 2, seed=seed)
+    s, f = to_smith_coprime(m, g, seed=seed)
     k, band = index if index is not None else (0, n)
     if not 0 <= k <= n - band:
         raise PreconditionError("index band out of range")
@@ -195,4 +191,4 @@ def relations_hermite_basis(m: IntMat, g: IntMat, epsilon: float = 0.5,
         pad = band - s.dim
         s_band = SmithForm((1,) * pad + s.diag)
         f_band = IntMat([[0] * pad + list(row) for row in f.data], n, band)
-    return hermite_basis(HBCall(s_band, f_band, k, band, epsilon / 2), trace)
+    return hermite_basis(HBCall(s_band, f_band, k, band), trace)

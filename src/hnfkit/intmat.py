@@ -117,9 +117,6 @@ class IntMat:
             raise DimensionError("submatrix range out of bounds")
         return IntMat([r[c0:c1] for r in self.data[r0:r1]], r1 - r0, c1 - c0)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -183,10 +180,6 @@ class SmithForm(DiagonalModulus):
             if b % a != 0:
                 raise PreconditionError(f"divisibility chain broken: {a} does not divide {b}")
         object.__setattr__(self, "diag", entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "SmithForm":
-        return cls((1,) * n)
 
     @property
     def largest(self) -> int:
@@ -337,10 +330,6 @@ def matneg(a: IntMat) -> IntMat:
     return IntMat([[-x for x in r] for r in a.data], a.rows, a.cols)
 
 
-def scalar_mul(c: int, a: IntMat) -> IntMat:
-    return IntMat([[c * x for x in r] for r in a.data], a.rows, a.cols)
-
-
 def hstack(*mats: IntMat) -> IntMat:
     mats = tuple(m for m in mats)
     if not mats:
@@ -419,11 +408,6 @@ def lattice_contains(h: HermiteBasis, v: Sequence[int]) -> bool:
             for c in range(j, n):
                 x[c] -= q * rows[j][c]
     return True
-
-
-def lattice_equal(h1: HermiteBasis, h2: HermiteBasis) -> bool:
-    """Hermite bases are canonical, so lattice equality is matrix equality."""
-    return h1.mat == h2.mat
 
 
 _TOKEN_OK = frozenset("0123456789")

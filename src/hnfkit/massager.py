@@ -7,9 +7,7 @@ structure of M^{-1} and is the interchange format of the whole pipeline.
 
 `smith_massager` here is a deterministic engine: alternating row and column
 Hermite passes carried out modulo the determinant, tracking only the right
-multiplier, then a gcd/lcm repair of the divisibility chain.  It accepts and ignores a failure-probability argument so a
-Las Vegas engine with the same interface can be dropped in; `MassagerFail` is
-reserved for that purpose and never raised by the deterministic code.
+multiplier, then a gcd/lcm repair of the divisibility chain.
 """
 
 from __future__ import annotations
@@ -29,10 +27,6 @@ from .intmat import (
     matmul,
     require_colreduced,
 )
-
-
-class MassagerFail(RuntimeError):
-    """Reserved failure signal for randomized massager engines."""
 
 
 @dataclass(frozen=True)
@@ -154,12 +148,8 @@ def _col_pass_modd(a: list[list[int]], v: list[list[int]], n: int, d: int) -> No
                     row[j] = (row[j] - q * row[r]) % d
 
 
-def smith_massager(m: IntMat, epsilon: float = 0.5,
-                   det: int | None = None) -> SmithMassager:
+def smith_massager(m: IntMat, *, det: int | None = None) -> SmithMassager:
     """Reduced Smith massager of a nonsingular matrix.
-
-    `epsilon` is the failure-probability budget of the engine interface; the
-    deterministic engine never fails, so it is accepted and ignored.
 
     Works modulo d = |det m| throughout: d*Z^n lies inside the lattice, so
     entries and the right multiplier stay determinant-bounded, and the left
@@ -170,7 +160,6 @@ def smith_massager(m: IntMat, epsilon: float = 0.5,
     A caller that already knows d may pass it as `det`, which must equal
     |det m| exactly; otherwise it is computed here.
     """
-    del epsilon
     if not m.is_square():
         raise DimensionError("smith massager needs a square matrix")
     n = m.rows

@@ -1,4 +1,4 @@
-"""Scalar arithmetic over Z/(N): extended gcd, annihilators, stabilizers.
+"""Scalar arithmetic over Z/(N): extended gcd and stabilizers.
 
 These are the gcd-level primitives the Howell triangularization leans on.
 `stab` is the workhorse: it turns two residues into a single residue carrying
@@ -32,13 +32,6 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return (-old_r, -old_s, -old_t)
     return (old_r, old_s, old_t)
-
-
-def ann(a: int, n: int) -> int:
-    """Generator of {x : x*a == 0 mod n}, reduced into [0, n)."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    return (n // gcd(a % n, n)) % n
 
 
 def coprime_part(n: int, x: int) -> int:

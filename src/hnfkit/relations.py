@@ -177,7 +177,7 @@ def apply_row_order(m: IntMat, order: tuple[int, ...]) -> IntMat:
     return IntMat([m.row(i) for i in order], m.rows, m.cols)
 
 
-def to_smith_coprime(m: IntMat, g: IntMat, epsilon: float = 0.5,
+def to_smith_coprime(m: IntMat, g: IntMat, *,
                      seed: int | None = None) -> tuple[SmithForm, IntMat]:
     """Rewrite the relations input (M, G) as a coprime Smith-modulus pair.
 
@@ -196,28 +196,27 @@ def to_smith_coprime(m: IntMat, g: IntMat, epsilon: float = 0.5,
     if m.cols != g.cols:
         raise DimensionError("modulus and G must agree on column count")
     cols = m.cols
-    eps = epsilon / 4
     # 1: permute a nonsingular block to the top
     order, det = pivot_permutation(m, seed=seed)
     pm = apply_row_order(m, order)
     # 2: Smith form of the pivot block, folded through the massager
     m1 = pm.submatrix(0, cols, 0, cols)
     m2 = pm.submatrix(cols, pm.rows, 0, cols)
-    mas1 = smith_massager(m1, eps, det=det)
+    mas1 = smith_massager(m1, det=det)
     s1, v1 = mas1.s, mas1.f
     m3 = colmod_mul(m2, v1, s1)
     g1 = colmod_mul(g, v1, s1)
     # 3: compress the stacked modulus [S1; M3] to its Hermite basis
     t1 = hermite_of_stack(m3, s1)
     # 4: Smith form of the compressed modulus
-    mas2 = smith_massager(t1.mat, eps)
+    mas2 = smith_massager(t1.mat)
     s2, v2 = mas2.s, mas2.f
     g2 = colmod_mul(g1, v2, s2)
     # 5: remove the common right divisor
     t2 = hermite_of_stack(g2, s2)
     c, k = coprime_parts(t2, g2, s2)
     # 6: Smith form of the coprime modulus
-    mas3 = smith_massager(k.mat, eps)
+    mas3 = smith_massager(k.mat)
     s3, v3 = mas3.s, mas3.f
     f = colmod_mul(c, v3, s3)
     return s3, f

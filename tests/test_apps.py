@@ -46,6 +46,11 @@ class TestHnf:
         with pytest.raises(PreconditionError):
             hnf(IntMat([[2, 4], [1, 2]]))
 
+    def test_seed_is_keyword_only(self):
+        # a positional second argument (the old failure budget) is refused
+        with pytest.raises(TypeError):
+            hnf(EX4, 0.5)
+
 
 class TestRemainder:
     def test_multiple_of_rows_reduces_to_zero(self, rng):

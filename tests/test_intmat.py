@@ -15,7 +15,6 @@ from hnfkit.intmat import (
     determinant,
     format_matrix,
     lattice_contains,
-    lattice_equal,
     matmul,
     parse_matrix,
     rowmod,
@@ -190,10 +189,8 @@ class TestLattice:
                 assert lattice_contains(h, h.mat.row(i))
 
     def test_equality_is_matrix_equality(self):
-        assert lattice_equal(HermiteBasis(IntMat.identity(2)),
-                             HermiteBasis(IntMat.identity(2)))
-        assert not lattice_equal(HermiteBasis(IntMat([[2]])),
-                                 HermiteBasis(IntMat([[3]])))
+        assert HermiteBasis(IntMat.identity(2)) == HermiteBasis(IntMat.identity(2))
+        assert HermiteBasis(IntMat([[2]])) != HermiteBasis(IntMat([[3]]))
 
 
 class TestHermiteBasisType:

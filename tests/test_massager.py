@@ -56,11 +56,16 @@ class TestSmithMassager:
         with pytest.raises(PreconditionError, match="singular input to smith massager"):
             smith_massager(IntMat([[3, 1, 2], [0, 0, 5], [0, 0, 7]]))
 
+    def test_det_is_keyword_only(self):
+        # a positional 0.25 (the old failure budget) must not become det
+        with pytest.raises(TypeError):
+            smith_massager(IntMat.identity(2), 0.25)
+
     def test_computed_massager_verifies(self, rng):
         for _ in range(300):
             n = rng.randint(1, 8)
             m = rand_nonsingular(rng, n, -50, 50)
-            mas = smith_massager(m, 0.25)
+            mas = smith_massager(m)
             assert verify_massager(m, mas)
 
     def test_det_matches(self, rng):

@@ -3,7 +3,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hnfkit.modn import ann, coprime_part, ext_gcd, stab, unit_stabilizer
+from hnfkit.modn import coprime_part, ext_gcd, stab, unit_stabilizer
 
 
 def test_ext_gcd_examples():
@@ -11,12 +11,6 @@ def test_ext_gcd_examples():
     assert g == 3 and u * 24 + v * 3 == 3
     assert ext_gcd(0, 0) == (0, 0, 0)
     assert ext_gcd(5, 0) == (5, 1, 0)
-
-
-def test_ann_examples():
-    assert ann(2, 4) == 2
-    assert ann(1, 12) == 0
-    assert ann(0, 12) == 1
 
 
 def test_stab_examples():
@@ -30,10 +24,6 @@ def test_exhaustive_small_moduli():
     # every identity, for every residue pair, for all N up to 64
     for n in range(1, 65):
         for a in range(n):
-            r = ann(a, n)
-            assert r * a % n == 0
-            annihilators = {x for x in range(n) if x * a % n == 0}
-            assert {x * r % n for x in range(n)} == annihilators
             for b in range(n):
                 g, u, v = ext_gcd(a, b)
                 assert g == gcd(a, b) and u * a + v * b == g

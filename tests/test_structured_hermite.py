@@ -251,6 +251,12 @@ class TestStructuredBlocks:
                                     m + a.rows, m + a.rows + m) == k
 
     def test_containment_precondition(self):
-        t = HermiteBasis(IntMat([[4]]))
-        with pytest.raises(PreconditionError):
-            structured_hermite_blocks(IntMat([], 0, 1), t, IntMat([[2]]), SmithForm([2]))
+        t4 = HermiteBasis(IntMat([[4]]))
+        no_rows = IntMat([], 0, 1)
+        # L(A) outside L(T); L(S) outside L(T) with no rows of A; S the
+        # identity with T not the identity
+        for t, a, s in ((t4, IntMat([[2]]), SmithForm([2])),
+                        (t4, no_rows, SmithForm([2])),
+                        (HermiteBasis(IntMat([[2]])), no_rows, SmithForm([1]))):
+            with pytest.raises(PreconditionError):
+                structured_hermite_blocks(no_rows, t, a, s)
