@@ -42,7 +42,7 @@ def _read(path: str) -> IntMat:
     try:
         with open(path, "r", encoding="ascii") as fh:
             return parse_matrix(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

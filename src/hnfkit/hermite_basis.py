@@ -70,7 +70,7 @@ def base_case(s: int, f: IntMat, k: int) -> HermiteBasis:
         raise PreconditionError("band index out of range")
     if s < 1:
         raise PreconditionError("modulus must be positive")
-    col = [f[i, 0] % s for i in range(n)]
+    col = [row[0] % s for row in f.data]
     for i in range(k + 1, n):
         if col[i] != 0:
             raise PreconditionError("claimed index (k, 1) but F is nonzero below row k")
@@ -82,7 +82,7 @@ def base_case(s: int, f: IntMat, k: int) -> HermiteBasis:
     rows[k][k] = s
     for i in range(k):
         rows[i][k] = (-col[i] * inv) % s
-    return HermiteBasis(IntMat(rows, n, n), index_k=k, index_m=1)
+    return HermiteBasis(IntMat._of_rows(rows, n, n), index_k=k, index_m=1)
 
 
 def _overlay(h2: HermiteBasis, h1: HermiteBasis, k: int, m1: int, m2: int) -> HermiteBasis:
@@ -93,11 +93,11 @@ def _overlay(h2: HermiteBasis, h1: HermiteBasis, k: int, m1: int, m2: int) -> He
     other is nontrivial.
     """
     n = h1.dim
-    rows = h2.mat.to_rows()
-    for i in range(k + m1):
-        for j in range(k, k + m1):
-            rows[i][j] = h1.mat[i, j]
-    out = HermiteBasis(IntMat(rows, n, n), index_k=k, index_m=m1 + m2)
+    band = k + m1
+    top = h2.mat.data[:band]
+    rows = [r2[:k] + r1[k:band] + r2[band:] for r2, r1 in zip(top, h1.mat.data)]
+    rows.extend(list(r2) for r2 in h2.mat.data[band:])
+    out = HermiteBasis(IntMat._of_rows(rows, n, n), index_k=k, index_m=m1 + m2)
     if invariant_checks_enabled() and out.mat != matmul(h2.mat, h1.mat):
         raise InternalError("block overlay differs from the product H2*H1")
     return out
@@ -182,7 +182,7 @@ def relations_hermite_basis(m: IntMat, g: IntMat, *,
     n = g.rows
     s, f = to_smith_coprime(m, g, seed=seed)
     k, band = index if index is not None else (0, n)
-    if not 0 <= k <= n - band:
+    if band < 0 or not 0 <= k <= n - band:
         raise PreconditionError("index band out of range")
     if s.dim >= band:
         # columns with invariant factor 1 are zero, since F is reduced mod S

@@ -151,7 +151,7 @@ def hermite_via_howell(a: IntMat, s: int) -> HermiteBasis:
             f"howell lift has {len(rows)} rows for {a.cols} columns; "
             "precondition sI within L(A) or full column rank violated")
     try:
-        return HermiteBasis(IntMat(rows, a.cols, a.cols))
+        return HermiteBasis(IntMat._of_rows(rows, a.cols, a.cols))
     except PreconditionError as exc:
         raise PreconditionError(f"howell lift is not a Hermite basis: {exc}") from exc
 

@@ -1,11 +1,14 @@
 """Dense arbitrary-precision integer matrices and the reduction primitives.
 
 Everything downstream works on `IntMat`: an immutable row-major matrix of
-Python ints.  Diagonal moduli get their own small types (`DiagonalModulus`,
-`SmithForm`) so that column/row reduction and divisibility-chain invariants
-are checked at construction time.  `HermiteBasis` wraps a matrix that has
-been verified to satisfy the Hermite invariants (upper triangular, positive
-diagonal, off-diagonal entries reduced below the column diagonal).
+Python ints.  The public constructor validates its input; the results of the
+operations here are built by the trusted `IntMat._of_rows`, because their
+shape holds by construction.  Diagonal moduli get their own small types
+(`DiagonalModulus`, `SmithForm`) so that column/row reduction and
+divisibility-chain invariants are checked at construction time.
+`HermiteBasis` wraps a matrix that has been verified to satisfy the Hermite
+invariants (upper triangular, positive diagonal, off-diagonal entries
+reduced below the column diagonal).
 
 Residues are always taken in [0, d), i.e. the mathematical mod, never the
 sign-following remainder.
@@ -14,8 +17,9 @@ sign-following remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
-from operator import mul
+from operator import index, lt, mul
 from typing import Iterable, Sequence
 
 _INVARIANT_CHECKS = False
@@ -54,7 +58,7 @@ class IntMat:
 
     def __init__(self, data: Iterable[Iterable[int]], rows: int | None = None,
                  cols: int | None = None):
-        tup = tuple(tuple(int(x) for x in row) for row in data)
+        tup = tuple(tuple(map(index, row)) for row in data)
         if rows is None:
             rows = len(tup)
         if cols is None:
@@ -77,12 +81,25 @@ class IntMat:
         raise AttributeError("IntMat is immutable")
 
     @classmethod
+    def _of_rows(cls, data: Iterable[Sequence[int]], rows: int, cols: int) -> "IntMat":
+        """Trusted constructor: `data` must be `rows` rows of `cols` ints, each
+        a list or a tuple that no other matrix holds.  Skips every check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", tuple([tuple(r) for r in data]))
+        return self
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMat":
-        return cls([[0] * cols for _ in range(rows)], rows, cols)
+        return cls._of_rows([[0] * cols for _ in range(rows)], rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
+        data = [[0] * n for _ in range(n)]
+        for i, row in enumerate(data):
+            row[i] = 1
+        return cls._of_rows(data, n, n)
 
     @classmethod
     def from_flat(cls, rows: int, cols: int, entries: Sequence[int]) -> "IntMat":
@@ -109,13 +126,18 @@ class IntMat:
         return [list(r) for r in self.data]
 
     def transpose(self) -> "IntMat":
-        return IntMat([[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)], self.cols, self.rows)
+        if self.rows == 0:
+            return IntMat.zeros(self.cols, 0)
+        return IntMat._of_rows(zip(*self.data), self.cols, self.rows)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "IntMat":
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise DimensionError("submatrix range out of bounds")
-        return IntMat([r[c0:c1] for r in self.data[r0:r1]], r1 - r0, c1 - c0)
+        rows = self.data[r0:r1]
+        if c1 - c0 == self.cols:
+            # a full-width slice of a tuple is the tuple itself, so copy
+            return IntMat._of_rows([list(r) for r in rows], r1 - r0, self.cols)
+        return IntMat._of_rows([r[c0:c1] for r in rows], r1 - r0, c1 - c0)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -141,7 +163,7 @@ class DiagonalModulus:
     diag: tuple[int, ...]
 
     def __init__(self, diag: Sequence[int]):
-        entries = tuple(int(d) for d in diag)
+        entries = tuple(map(index, diag))
         if any(d < 0 for d in entries):
             raise PreconditionError("diagonal modulus entries must be nonnegative")
         object.__setattr__(self, "diag", entries)
@@ -173,7 +195,7 @@ class SmithForm(DiagonalModulus):
     """Diagonal modulus with the Smith divisibility chain s_i | s_{i+1}."""
 
     def __init__(self, diag: Sequence[int]):
-        entries = tuple(int(d) for d in diag)
+        entries = tuple(map(index, diag))
         if any(d < 1 for d in entries):
             raise PreconditionError("Smith form entries must be >= 1")
         for a, b in zip(entries, entries[1:]):
@@ -202,29 +224,27 @@ class HermiteBasis:
         if not mat.is_square():
             raise PreconditionError("Hermite basis must be square")
         n = mat.rows
-        for i in range(n):
-            if mat[i, i] <= 0:
+        rows = mat.data
+        for i, row in enumerate(rows):
+            if row[i] <= 0:
                 raise PreconditionError("Hermite basis needs positive diagonal entries")
-            for j in range(i):
-                if mat[i, j] != 0:
-                    raise PreconditionError("Hermite basis must be upper triangular")
-        for j in range(n):
-            d = mat[j, j]
-            for i in range(j):
-                if not (0 <= mat[i, j] < d):
-                    raise PreconditionError("off-diagonal entry not reduced below its column diagonal")
+            if any(row[:i]):
+                raise PreconditionError("Hermite basis must be upper triangular")
+        diag = [row[i] for i, row in enumerate(rows)]
+        for i, row in enumerate(rows):
+            upper = row[i + 1:]
+            if upper and (min(upper) < 0 or not all(map(lt, upper, diag[i + 1:]))):
+                raise PreconditionError("off-diagonal entry not reduced below its column diagonal")
         if (index_k is None) != (index_m is None):
             raise PreconditionError("index metadata needs both k and m")
         if index_k is not None:
             k, m = index_k, index_m
             if not (0 <= k <= k + m <= n):
                 raise PreconditionError("index (k, m) out of range")
-            for i in range(k):
-                if mat[i, i] != 1:
-                    raise PreconditionError("index (k, m) basis needs unit leading diagonals")
-            for i in range(k + m, n):
-                if mat[i, i] != 1:
-                    raise PreconditionError("index (k, m) basis needs unit trailing diagonals")
+            if any(d != 1 for d in diag[:k]):
+                raise PreconditionError("index (k, m) basis needs unit leading diagonals")
+            if any(d != 1 for d in diag[k + m:]):
+                raise PreconditionError("index (k, m) basis needs unit trailing diagonals")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "index_k", index_k)
         object.__setattr__(self, "index_m", index_m)
@@ -237,7 +257,7 @@ class HermiteBasis:
         return self.mat.rows
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.mat[i, i] for i in range(self.dim))
+        return tuple(row[i] for i, row in enumerate(self.mat.data))
 
     def determinant(self) -> int:
         return prod(self.diagonal())
@@ -259,8 +279,8 @@ def colmod(a: IntMat, s: DiagonalModulus) -> IntMat:
         raise DimensionError(f"colmod: {a.cols} columns vs modulus of dimension {s.dim}")
     s.require_nonsingular()
     d = s.diag
-    return IntMat([[row[j] % d[j] for j in range(a.cols)] for row in a.data],
-                  a.rows, a.cols)
+    return IntMat._of_rows([[x % dj for x, dj in zip(row, d)] for row in a.data],
+                           a.rows, a.cols)
 
 
 def require_colreduced(a: IntMat, mod: DiagonalModulus, what: str) -> None:
@@ -279,8 +299,8 @@ def rowmod(a: IntMat, s: DiagonalModulus) -> IntMat:
     if a.rows != s.dim:
         raise DimensionError(f"rowmod: {a.rows} rows vs modulus of dimension {s.dim}")
     s.require_nonsingular()
-    return IntMat([[x % d for x in row] for row, d in zip(a.data, s.diag)],
-                  a.rows, a.cols)
+    return IntMat._of_rows([[x % d for x in row] for row, d in zip(a.data, s.diag)],
+                           a.rows, a.cols)
 
 
 def matmul(a: IntMat, b: IntMat) -> IntMat:
@@ -289,11 +309,9 @@ def matmul(a: IntMat, b: IntMat) -> IntMat:
         raise DimensionError(f"matmul: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if a.cols == 0:
         return IntMat.zeros(a.rows, b.cols)
-    bt = b.transpose().data
-    out = []
-    for arow in a.data:
-        out.append([sum(x * y for x, y in zip(arow, bcol)) for bcol in bt])
-    return IntMat(out, a.rows, b.cols)
+    bt = list(zip(*b.data))
+    out = [[sum(map(mul, arow, bcol)) for bcol in bt] for arow in a.data]
+    return IntMat._of_rows(out, a.rows, b.cols)
 
 
 def colmod_mul(a: IntMat, b: IntMat, f: DiagonalModulus) -> IntMat:
@@ -309,25 +327,25 @@ def colmod_mul(a: IntMat, b: IntMat, f: DiagonalModulus) -> IntMat:
         for j, d, bcol in live:
             row[j] = sum(map(mul, arow, bcol)) % d
         out.append(row)
-    return IntMat(out, a.rows, f.dim)
+    return IntMat._of_rows(out, a.rows, f.dim)
 
 
 def matadd(a: IntMat, b: IntMat) -> IntMat:
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionError("matadd: shape mismatch")
-    return IntMat([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)],
-                  a.rows, a.cols)
+    return IntMat._of_rows([[x + y for x, y in zip(ra, rb)]
+                            for ra, rb in zip(a.data, b.data)], a.rows, a.cols)
 
 
 def matsub(a: IntMat, b: IntMat) -> IntMat:
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionError("matsub: shape mismatch")
-    return IntMat([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)],
-                  a.rows, a.cols)
+    return IntMat._of_rows([[x - y for x, y in zip(ra, rb)]
+                            for ra, rb in zip(a.data, b.data)], a.rows, a.cols)
 
 
 def matneg(a: IntMat) -> IntMat:
-    return IntMat([[-x for x in r] for r in a.data], a.rows, a.cols)
+    return IntMat._of_rows([[-x for x in r] for r in a.data], a.rows, a.cols)
 
 
 def hstack(*mats: IntMat) -> IntMat:
@@ -337,8 +355,9 @@ def hstack(*mats: IntMat) -> IntMat:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionError("hstack: row counts differ")
-    return IntMat([sum((list(m.data[i]) for m in mats), []) for i in range(rows)],
-                  rows, sum(m.cols for m in mats))
+    return IntMat._of_rows([list(chain.from_iterable(parts))
+                            for parts in zip(*(m.data for m in mats))],
+                           rows, sum(m.cols for m in mats))
 
 
 def vstack(*mats: IntMat) -> IntMat:
@@ -348,10 +367,8 @@ def vstack(*mats: IntMat) -> IntMat:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionError("vstack: column counts differ")
-    data = []
-    for m in mats:
-        data.extend(m.to_rows())
-    return IntMat(data, sum(m.rows for m in mats), cols)
+    return IntMat._of_rows([list(r) for m in mats for r in m.data],
+                           sum(m.rows for m in mats), cols)
 
 
 def determinant(a: IntMat) -> int:

@@ -70,7 +70,8 @@ def structured_hermite_blocks(f: IntMat, t: HermiteBasis, a: IntMat,
 
     Each lift's leading block is the Hermite basis of L(T) + L(chunk) + L(S),
     so comparing it with T checks the containment; with no rows of A, one
-    empty chunk still checks L(S).
+    empty chunk still checks L(S).  The bordered matrices are assembled from
+    plain row tuples and the blocks are read off the lift by slicing.
     """
     m = s.dim
     if t.dim != m or f.cols != m or a.cols != m:
@@ -82,50 +83,62 @@ def structured_hermite_blocks(f: IntMat, t: HermiteBasis, a: IntMat,
             raise PreconditionError("L(S) is not contained in L(T)")
         return (IntMat.zeros(f.rows, m), IntMat.zeros(f.rows, m),
                 IntMat.zeros(a.rows, m), IntMat.identity(m))
-    tmat = t.mat
-    smat = s.as_matrix()
-    k_block: IntMat | None = None
-    c_rows: list[list[int]] = []
+    t_rows = t.mat.data
+    unit_m = _unit_rows(m)
+    zero_m = (0,) * m
+    s_rows = [zero_m[:i] + (d,) + zero_m[i + 1:] for i, d in enumerate(s.diag)]
+    k_block: tuple[tuple[int, ...], ...] | None = None
+    c_rows: list[tuple[int, ...]] = []
     for lo in range(0, a.rows or 1, m):
-        hi = min(lo + m, a.rows)
-        h = hi - lo
-        chunk = a.submatrix(lo, hi, 0, m)
-        bordered = vstack(
-            hstack(tmat, IntMat.zeros(m, h), IntMat.identity(m)),
-            hstack(chunk, IntMat.identity(h), IntMat.zeros(h, m)),
-            hstack(smat, IntMat.zeros(m, h), IntMat.zeros(m, m)))
-        hb = hermite_via_howell(bordered, sval).mat
-        if hb.submatrix(0, m, 0, m) != tmat or \
-                hb.submatrix(m, m + h, m, m + h) != IntMat.identity(h):
+        chunk = a.data[lo:lo + m]
+        h = len(chunk)
+        unit_h = _unit_rows(h)
+        zero_h = (0,) * h
+        w = 2 * m + h
+        # [T 0 I; A I 0; S 0 0]
+        bordered = [r + zero_h + u for r, u in zip(t_rows, unit_m)]
+        bordered += [r + u + zero_m for r, u in zip(chunk, unit_h)]
+        bordered += [r + zero_h + zero_m for r in s_rows]
+        hb = hermite_via_howell(IntMat._of_rows(bordered, w, w), sval).mat.data
+        if any(r[:m] != tr for r, tr in zip(hb, t_rows)) or \
+                any(r[m:m + h] != u for r, u in zip(hb[m:], unit_h)):
             raise PreconditionError("T is not the Hermite basis of its stack")
-        c_rows.extend(hb.submatrix(m, m + h, m + h, 2 * m + h).to_rows())
-        kb = hb.submatrix(m + h, 2 * m + h, m + h, 2 * m + h)
+        c_rows.extend(r[m + h:] for r in hb[m:m + h])
+        kb = tuple(r[m + h:] for r in hb[m + h:])
         if k_block is not None and kb != k_block:
             raise PreconditionError("inconsistent trailing block across chunks")
         k_block = kb
-    g_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
+    g_rows: list[tuple[int, ...]] = []
+    q_rows: list[tuple[int, ...]] = []
     for lo in range(0, f.rows, m):
-        hi = min(lo + m, f.rows)
-        h = hi - lo
-        chunk = f.submatrix(lo, hi, 0, m)
-        bordered = vstack(
-            hstack(IntMat.identity(h), chunk, IntMat.zeros(h, m)),
-            hstack(IntMat.zeros(m, h), tmat, IntMat.identity(m)),
-            hstack(IntMat.zeros(m, h), smat, IntMat.zeros(m, m)))
-        hb = hermite_via_howell(bordered, sval).mat
-        if hb.submatrix(h, h + m, h, h + m) != tmat:
+        chunk = f.data[lo:lo + m]
+        h = len(chunk)
+        unit_h = _unit_rows(h)
+        zero_h = (0,) * h
+        w = 2 * m + h
+        # [I F 0; 0 T I; 0 S 0]
+        bordered = [u + r + zero_m for r, u in zip(chunk, unit_h)]
+        bordered += [zero_h + r + u for r, u in zip(t_rows, unit_m)]
+        bordered += [zero_h + r + zero_m for r in s_rows]
+        hb = hermite_via_howell(IntMat._of_rows(bordered, w, w), sval).mat.data
+        if any(r[h:h + m] != tr for r, tr in zip(hb[h:], t_rows)):
             raise PreconditionError("T is not the Hermite basis of its stack")
-        g_rows.extend(hb.submatrix(0, h, h, h + m).to_rows())
-        q_rows.extend(hb.submatrix(0, h, h + m, h + 2 * m).to_rows())
-        kb = hb.submatrix(h + m, h + 2 * m, h + m, h + 2 * m)
+        g_rows.extend(r[h:h + m] for r in hb[:h])
+        q_rows.extend(r[h + m:] for r in hb[:h])
+        kb = tuple(r[h + m:] for r in hb[h + m:])
         if k_block is not None and kb != k_block:
             raise PreconditionError("inconsistent trailing block across chunks")
         k_block = kb
     if k_block is None:
         raise InternalError("no chunk produced a trailing block")
-    return (IntMat(g_rows, f.rows, m), IntMat(q_rows, f.rows, m),
-            IntMat(c_rows, a.rows, m), k_block)
+    return (IntMat._of_rows(g_rows, f.rows, m), IntMat._of_rows(q_rows, f.rows, m),
+            IntMat._of_rows(c_rows, a.rows, m), IntMat._of_rows(k_block, m, m))
+
+
+def _unit_rows(n: int) -> list[tuple[int, ...]]:
+    """The rows of the n x n identity."""
+    zeros = (0,) * n
+    return [zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)]
 
 
 def stage_transform(f1: IntMat, a1: IntMat, s1: SmithForm
@@ -205,8 +218,8 @@ def stage_apply(tr: StageTransform, f2: IntMat, a2: IntMat, s2: SmithForm
 
 
 def _add_mod(a: IntMat, b: IntMat, s: SmithForm) -> IntMat:
-    return IntMat([[(x + y) % d for x, y, d in zip(ra, rb, s.diag)]
-                   for ra, rb in zip(a.data, b.data)], a.rows, a.cols)
+    return IntMat._of_rows([[(x + y) % d for x, y, d in zip(ra, rb, s.diag)]
+                            for ra, rb in zip(a.data, b.data)], a.rows, a.cols)
 
 
 def _stage_split(mbar: int) -> tuple[int, int]:

@@ -65,6 +65,17 @@ def rand_hermite(rng: random.Random, n: int, max_diag: int = 9):
     return HermiteBasis(IntMat(rows, n, n))
 
 
+def assert_trusted(out: IntMat, *inputs: IntMat) -> None:
+    """`out` equals its validated rebuild, holds plain ints and owns its rows:
+    no nonempty row tuple is shared with another row of `out` or with a row
+    of an input."""
+    assert out == IntMat(out.to_rows(), out.rows, out.cols)
+    assert all(type(x) is int for r in out.data for x in r)
+    mine = [id(r) for r in out.data if r]
+    assert len(set(mine)) == len(mine)
+    assert {id(r) for m in inputs for r in m.data}.isdisjoint(mine)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260808)

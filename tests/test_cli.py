@@ -91,6 +91,12 @@ class TestExitCodes:
             code, out, err = run_cli(args, capsys)
             assert code == 3 and out == ""
             assert err.startswith("input error: ") and err.count("\n") == 1
+        # a byte that is not ASCII is an input error, not a traceback
+        undecodable = tmp_path / "bad-byte.mat"
+        undecodable.write_bytes(b"1 1\n\xe9\n")
+        code, out, err = run_cli(["hnf", "--in", str(undecodable)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
 
     def test_missing_file_is_3(self, capsys):
         code, _, _ = run_cli(["hnf", "--in", "/nonexistent/x.mat"], capsys)

@@ -1,6 +1,12 @@
 import pytest
 
-from hnfkit.hermite_basis import HBCall, base_case, hermite_basis, relations_hermite_basis
+from hnfkit.hermite_basis import (
+    HBCall,
+    _overlay,
+    base_case,
+    hermite_basis,
+    relations_hermite_basis,
+)
 from hnfkit.intmat import (
     IntMat,
     PreconditionError,
@@ -13,7 +19,7 @@ from hnfkit.intmat import (
 from hnfkit.relations import relations_basis_oracle, to_smith_coprime
 from hnfkit.structured_hermite import hermite_of_stack
 
-from .conftest import rand_full_col_rank, rand_mat
+from .conftest import assert_trusted, rand_full_col_rank, rand_mat
 
 EX4 = IntMat([[1, 2, 3], [4, 5, 6], [7, 8, 1]])
 EX4_HNF = IntMat([[1, 2, 3], [0, 3, 6], [0, 0, 8]])
@@ -21,18 +27,22 @@ EX4_HNF = IntMat([[1, 2, 3], [0, 3, 6], [0, 0, 8]])
 
 class TestBaseCase:
     def test_displayed_instance(self):
-        h = base_case(8, IntMat([[5], [2], [1]]), 2)
+        f = IntMat([[5], [2], [1]])
+        h = base_case(8, f, 2)
         assert h.mat == IntMat([[1, 0, 3], [0, 1, 6], [0, 0, 8]])
         assert (h.index_k, h.index_m) == (2, 1)
+        assert_trusted(h.mat, f)
 
     def test_unit_column(self):
         h = base_case(6, IntMat([[0], [1], [0]]), 1)
         assert h.mat == IntMat.diagonal([1, 6, 1])
 
     def test_congruence_solution(self):
-        h = base_case(6, IntMat([[4], [5], [0]]), 1)
+        f = IntMat([[4], [5], [0]])
+        h = base_case(6, f, 1)
         assert h.mat[0, 1] == 4
         assert h.mat == IntMat([[1, 4, 0], [0, 6, 0], [0, 0, 1]])
+        assert_trusted(h.mat, f)
 
     def test_nonunit_pivot_rejected(self):
         with pytest.raises(PreconditionError):
@@ -136,6 +146,9 @@ class TestHermiteBasisRecursion:
             assert t.mat == ev["t"].mat
             # the parts overlay to H and the split determinants multiply
             assert ev["h"].mat == matmul(ev["h2"].mat, ev["h1"].mat)
+            h = _overlay(ev["h2"], ev["h1"], k, m1, mm - m1)
+            assert h == ev["h"]
+            assert_trusted(h.mat, ev["h2"].mat, ev["h1"].mat)
             assert ev["h1"].determinant() * ev["h2"].determinant() == \
                 ev["h"].determinant()
 
@@ -177,6 +190,9 @@ class TestRelationsHermiteBasis:
             band = hi - k
             got = relations_hermite_basis(modulus, g, index=(k, band))
             assert got.mat == h.mat
+        # a negative band is out of range even when k <= n - band holds
+        with pytest.raises(PreconditionError, match="^index band out of range$"):
+            relations_hermite_basis(IntMat.identity(2), IntMat.identity(2), index=(3, -1))
 
     def test_rank_deficiency_raises(self):
         with pytest.raises(PreconditionError):

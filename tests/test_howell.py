@@ -19,7 +19,7 @@ from hnfkit.intmat import (
 )
 from hnfkit.oracle import brute_span, naive_hnf
 
-from .conftest import rand_reduced, rand_smith
+from .conftest import assert_trusted, rand_reduced, rand_smith
 
 
 def leading_index(row, n):
@@ -107,7 +107,9 @@ class TestHermiteViaHowell:
             m = rng.randint(1, 4)
             s = rand_smith(rng, m)
             a = vstack(rand_reduced(rng, rng.randint(0, 4), s), s.as_matrix())
-            assert hermite_via_howell(a, s.largest).mat == naive_hnf(a).mat
+            got = hermite_via_howell(a, s.largest).mat
+            assert got == naive_hnf(a).mat
+            assert_trusted(got, a)
 
     def test_precondition_violation_detected(self):
         # a rank-deficient input cannot lift to a square basis

@@ -14,12 +14,17 @@ from hnfkit.intmat import (
     colmod_mul,
     determinant,
     format_matrix,
+    hstack,
     lattice_contains,
+    matadd,
     matmul,
+    matneg,
+    matsub,
     parse_matrix,
     rowmod,
+    vstack,
 )
-from .conftest import rand_mat
+from .conftest import assert_trusted, rand_mat
 
 EX4 = IntMat([[1, 2, 3], [4, 5, 6], [7, 8, 1]])
 EX4_HNF = IntMat([[1, 2, 3], [0, 3, 6], [0, 0, 8]])
@@ -129,6 +134,56 @@ class TestColmodMul:
             colmod_mul(IntMat([[1, 2]]), IntMat([[1]]), DiagonalModulus([3]))
 
 
+class TestTrustedResults:
+    def test_every_operation(self, rng):
+        # random shapes, 0 rows and 0 columns included
+        for _ in range(150):
+            r, c, k = (rng.randint(0, 4) for _ in range(3))
+            a, b = rand_mat(rng, r, c), rand_mat(rng, r, c)
+            below = rand_mat(rng, k, c)
+            p = rand_mat(rng, c, k)
+            fc, fr, fk = (DiagonalModulus([rng.randint(1, 9) for _ in range(d)])
+                          for d in (c, r, k))
+            r0, r1 = sorted(rng.randint(0, r) for _ in range(2))
+            c0, c1 = sorted(rng.randint(0, c) for _ in range(2))
+            rows = a.to_rows()
+            for lo, hi in ((c0, c1), (0, c)):
+                sub = a.submatrix(r0, r1, lo, hi)
+                assert_trusted(sub, a)
+                assert sub.to_rows() == [row[lo:hi] for row in rows[r0:r1]]
+            assert_trusted(IntMat.zeros(r, c))
+            assert_trusted(IntMat.identity(r))
+            t = a.transpose()
+            assert_trusted(t, a)
+            assert (t.rows, t.cols) == (c, r)
+            assert all(t[j, i] == a[i, j] for i in range(r) for j in range(c))
+            for parts in ((a,), (a, b), (b, a, b)):
+                h = hstack(*parts)
+                assert_trusted(h, *parts)
+                assert h.to_rows() == [sum(rs, []) for rs in zip(*(m.to_rows() for m in parts))]
+            for parts in ((a,), (a, below), (below, a, below)):
+                v = vstack(*parts)
+                assert_trusted(v, *parts)
+                assert v.to_rows() == sum((m.to_rows() for m in parts), [])
+            assert_trusted(colmod(a, fc), a)
+            assert_trusted(rowmod(a, fr), a)
+            assert_trusted(matmul(a, p), a, p)
+            pk = colmod(p, fk)
+            assert_trusted(colmod_mul(a, pk, fk), a, pk)
+            for out in (matadd(a, b), matsub(a, b)):
+                assert_trusted(out, a, b)
+            assert_trusted(matneg(a), a)
+
+
+class TestIntMatType:
+    def test_non_integers_rejected(self):
+        with pytest.raises(TypeError):
+            IntMat([[2.9, 0.5], [0, 3.99]])
+        for bad in (3.0, "3", None):
+            with pytest.raises(TypeError):
+                IntMat([[1, bad]])
+
+
 class TestDeterminant:
     def test_golden(self):
         assert determinant(EX4) == 24
@@ -201,6 +256,16 @@ class TestHermiteBasisType:
     def test_rejects_unreduced(self):
         with pytest.raises(PreconditionError):
             HermiteBasis(IntMat([[1, 5], [0, 3]]))
+        # a negative entry above the diagonal is not reduced either
+        with pytest.raises(PreconditionError,
+                           match="^off-diagonal entry not reduced below its column diagonal$"):
+            HermiteBasis(IntMat([[1, -1, 0], [0, 3, 0], [0, 0, 2]]))
+
+    def test_rejects_nonpositive_diagonal(self):
+        for bad in (IntMat([[1, 0], [0, 0]]), IntMat([[-2]])):
+            with pytest.raises(PreconditionError,
+                               match="^Hermite basis needs positive diagonal entries$"):
+                HermiteBasis(bad)
 
     def test_index_metadata(self):
         h = HermiteBasis(IntMat([[1, 0, 3], [0, 1, 6], [0, 0, 8]]), index_k=2, index_m=1)
@@ -218,6 +283,18 @@ class TestSmithFormType:
     def test_zero_rejected(self):
         with pytest.raises(PreconditionError):
             SmithForm([0, 2])
+
+    def test_non_integers_rejected(self):
+        for bad in (2.0, 2.5, "2"):
+            with pytest.raises(TypeError):
+                SmithForm([1, bad])
+
+
+class TestDiagonalModulusType:
+    def test_non_integers_rejected(self):
+        for bad in (2.0, 2.5, "2"):
+            with pytest.raises(TypeError):
+                DiagonalModulus([3, bad])
 
 
 class TestTextFormat:

@@ -16,6 +16,7 @@ from hnfkit.intmat import (
 )
 from hnfkit.oracle import naive_hnf
 from hnfkit.structured_hermite import (
+    _add_mod,
     coprime_parts,
     hermite_of_stack,
     stage_apply,
@@ -23,7 +24,7 @@ from hnfkit.structured_hermite import (
     structured_hermite_blocks,
 )
 
-from .conftest import rand_reduced, rand_smith
+from .conftest import assert_trusted, rand_reduced, rand_smith
 
 WORKED_A = IntMat([[1, 5, 19]])
 WORKED_S = SmithForm([2, 6, 72])
@@ -249,6 +250,25 @@ class TestStructuredBlocks:
             assert direct.submatrix(m, m + a.rows, m + a.rows, m + a.rows + m) == c
             assert direct.submatrix(m + a.rows, 2 * m + a.rows,
                                     m + a.rows, m + a.rows + m) == k
+
+    def test_blocks_are_trusted_results(self, rng):
+        for _ in range(40):
+            m = rng.randint(1, 3)
+            s = rand_smith(rng, m)
+            a = rand_reduced(rng, rng.randint(0, 2 * m + 1), s)
+            f = rand_reduced(rng, rng.randint(0, 2 * m + 1), s)
+            t = hermite_of_stack(a, s)
+            for blk in structured_hermite_blocks(f, t, a, s):
+                assert_trusted(blk, f, t.mat, a)
+
+    def test_add_mod_is_trusted(self, rng):
+        for _ in range(40):
+            s = rand_smith(rng, rng.randint(0, 3))
+            a = rand_reduced(rng, rng.randint(0, 3), s)
+            b = rand_reduced(rng, a.rows, s)
+            out = _add_mod(a, b, s)
+            assert_trusted(out, a, b)
+            assert out == colmod(matadd(a, b), s)
 
     def test_containment_precondition(self):
         t4 = HermiteBasis(IntMat([[4]]))
