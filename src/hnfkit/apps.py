@@ -23,14 +23,13 @@ from .intmat import (
 )
 
 
-def hnf(a: IntMat, *, seed: int | None = None) -> HermiteBasis:
+def hnf(a: IntMat) -> HermiteBasis:
     """Hermite basis of a full-column-rank matrix, via its relations lattice
     against the identity."""
-    return relations_hermite_basis(a, IntMat.identity(a.cols), seed=seed)
+    return relations_hermite_basis(a, IntMat.identity(a.cols))
 
 
-def remainder_mod_hermite(f: IntMat, t: HermiteBasis, *,
-                          seed: int | None = None) -> IntMat:
+def remainder_mod_hermite(f: IntMat, t: HermiteBasis) -> IntMat:
     """Remainder of F with respect to a Hermite basis T: F + Q*T, reduced.
 
     Read off the index (n, m) relations basis of (T, [-F; I]), whose
@@ -40,13 +39,13 @@ def remainder_mod_hermite(f: IntMat, t: HermiteBasis, *,
         raise DimensionError("column count does not match the basis dimension")
     n, m = f.rows, t.dim
     g = vstack(matneg(f), IntMat.identity(m))
-    h = relations_hermite_basis(t.mat, g, index=(n, m), seed=seed)
+    h = relations_hermite_basis(t.mat, g, index=(n, m))
     if h.mat.submatrix(n, n + m, n, n + m) != t.mat:
         raise InternalError("relations basis lost its remainder shape")
     return h.mat.submatrix(0, n, n, n + m)
 
 
-def product_hnf(a: IntMat, b: IntMat, *, seed: int | None = None) -> HermiteBasis:
+def product_hnf(a: IntMat, b: IntMat) -> HermiteBasis:
     """Hermite basis of A*B without forming the product.
 
     Encoded as the relations lattice of the bordered modulus
@@ -61,11 +60,10 @@ def product_hnf(a: IntMat, b: IntMat, *, seed: int | None = None) -> HermiteBasi
     modulus = vstack(hstack(a, IntMat.zeros(n, p)),
                      hstack(IntMat.identity(m), b))
     g = hstack(IntMat.zeros(p, m), IntMat.identity(p))
-    return relations_hermite_basis(modulus, g, seed=seed)
+    return relations_hermite_basis(modulus, g)
 
 
-def lattice_intersection(a: IntMat, b: IntMat, *,
-                         seed: int | None = None) -> HermiteBasis:
+def lattice_intersection(a: IntMat, b: IntMat) -> HermiteBasis:
     """Hermite basis of L(A) intersected with L(B).
 
     The modulus [A 0; 0 B] has full column rank exactly when A and B both
@@ -77,11 +75,11 @@ def lattice_intersection(a: IntMat, b: IntMat, *,
     modulus = vstack(hstack(a, IntMat.zeros(a.rows, n)),
                      hstack(IntMat.zeros(b.rows, n), b))
     g = hstack(IntMat.identity(n), IntMat.identity(n))
-    return relations_hermite_basis(modulus, g, seed=seed)
+    return relations_hermite_basis(modulus, g)
 
 
-def multivariable_crt(m: DiagonalModulus, a: IntMat, b: IntMat, *,
-                      seed: int | None = None) -> tuple[int, IntMat, HermiteBasis]:
+def multivariable_crt(m: DiagonalModulus, a: IntMat, b: IntMat
+                      ) -> tuple[int, IntMat, HermiteBasis]:
     """Minimal scaling h, particular solution x_p, and homogeneous basis.
 
     Solves x*A == h*b column-modulo M with h in Z_{>0} minimal; the full
@@ -95,7 +93,7 @@ def multivariable_crt(m: DiagonalModulus, a: IntMat, b: IntMat, *,
     a_red = colmod(a, m)
     b_red = colmod(b, m)
     g = vstack(matneg(b_red), a_red)
-    h = relations_hermite_basis(m.as_matrix(), g, seed=seed)
+    h = relations_hermite_basis(m.as_matrix(), g)
     hval = h.mat[0, 0]
     x_p = h.mat.submatrix(0, 1, 1, n + 1)
     hbar = HermiteBasis(h.mat.submatrix(1, n + 1, 1, n + 1))

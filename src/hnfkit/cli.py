@@ -91,8 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="right-hand-side matrix file")
         p.add_argument("--out", dest="out", metavar="FILE", default=None,
                        help="write output here instead of stdout")
-        p.add_argument("--seed", dest="seed", type=int, default=None,
-                       help="enable the randomized pivot fast path")
         p.add_argument("--oracle", dest="use_oracle", action="store_true",
                        help="route through the naive reference path")
         p.add_argument("--debug-invariants", dest="debug", action="store_true",
@@ -135,7 +133,7 @@ def _run(args) -> int:
     try:
         if args.command == "hnf":
             a = _one_input(args)
-            h = oracle.naive_hnf(a) if args.use_oracle else apps.hnf(a, seed=args.seed)
+            h = oracle.naive_hnf(a) if args.use_oracle else apps.hnf(a)
             _emit([h.mat], args.out)
         elif args.command == "massager":
             a = _one_input(args)
@@ -148,7 +146,7 @@ def _run(args) -> int:
                 h = relations.relations_basis_oracle(mod, f)
             else:
                 from .hermite_basis import relations_hermite_basis
-                h = relations_hermite_basis(mod, f, seed=args.seed)
+                h = relations_hermite_basis(mod, f)
             _emit([h.mat], args.out)
         elif args.command == "howell":
             a = _one_input(args)
@@ -160,24 +158,24 @@ def _run(args) -> int:
             if args.use_oracle:
                 fbar = relations.remainder_with_respect_to(f, mod)
             else:
-                fbar = apps.remainder_mod_hermite(f, mod, seed=args.seed)
+                fbar = apps.remainder_mod_hermite(f, mod)
             _emit([fbar], args.out)
         elif args.command == "product-hnf":
             a, b = _two_inputs(args)
             if args.use_oracle:
                 h = oracle.naive_hnf(matmul(a, b))
             else:
-                h = apps.product_hnf(a, b, seed=args.seed)
+                h = apps.product_hnf(a, b)
             _emit([h.mat], args.out)
         elif args.command == "intersect":
             a, b = _two_inputs(args)
-            h = apps.lattice_intersection(a, b, seed=args.seed)
+            h = apps.lattice_intersection(a, b)
             _emit([h.mat], args.out)
         elif args.command == "crt":
             mod = _diag_modulus(_read(args.mod))
             a = _one_input(args)
             b = _read(args.rhs)
-            hval, x_p, hbar = apps.multivariable_crt(mod, a, b, seed=args.seed)
+            hval, x_p, hbar = apps.multivariable_crt(mod, a, b)
             _emit([IntMat([[hval]], 1, 1), x_p, hbar.mat], args.out)
         elif args.command == "verify":
             if len(args.inputs) not in (1, 3):

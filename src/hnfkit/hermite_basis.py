@@ -171,7 +171,6 @@ def _check_result(h: HermiteBasis, s: SmithForm, f: IntMat) -> None:
 
 def relations_hermite_basis(m: IntMat, g: IntMat, *,
                             index: tuple[int, int] | None = None,
-                            seed: int | None = None,
                             trace: TraceFn | None = None) -> HermiteBasis:
     """Hermite basis of the relations lattice of an arbitrary (M, G).
 
@@ -180,10 +179,10 @@ def relations_hermite_basis(m: IntMat, g: IntMat, *,
     (k, m) band of the answer; the default is the whole dimension (0, n).
     """
     n = g.rows
-    s, f = to_smith_coprime(m, g, seed=seed)
     k, band = index if index is not None else (0, n)
     if band < 0 or not 0 <= k <= n - band:
         raise PreconditionError("index band out of range")
+    s, f = to_smith_coprime(m, g)
     if s.dim >= band:
         # columns with invariant factor 1 are zero, since F is reduced mod S
         s_band, f_band = _strip_to_band(s, f, band)

@@ -15,8 +15,6 @@ lattice read off a naive Hermite computation of the bordered stack
 
 from __future__ import annotations
 
-import random
-
 from . import oracle
 from .intmat import (
     DimensionError,
@@ -26,11 +24,9 @@ from .intmat import (
     PreconditionError,
     SmithForm,
     colmod_mul,
-    determinant,
     hstack,
     vstack,
 )
-from .linmul import column_bitlengths
 from .massager import smith_massager
 from .structured_hermite import coprime_parts, hermite_of_stack
 
@@ -52,43 +48,21 @@ def remainder_with_respect_to(f: IntMat, t: HermiteBasis) -> IntMat:
     return IntMat(out, f.rows, f.cols)
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+def pivot_permutation(m: IntMat) -> tuple[tuple[int, ...], int]:
+    """Row order placing `m.cols` independent rows of a full-column-rank
+    matrix first, and the absolute determinant of that leading block.
 
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _column_bit_budget(m: IntMat) -> int:
-    d = sum(column_bitlengths(m))
-    cols = max(m.cols, 1)
-    return d + (cols * max(1, cols.bit_length())) // 2
-
-
-def _select_rows_bareiss(m: IntMat) -> tuple[list[int], int]:
-    """Indices of rows forming a nonsingular top block, by fraction-free
-    elimination with row pivoting, and |det| of that block (the last pivot)."""
-    work = {i: list(row) for i, row in enumerate(m.data)}
+    One fraction-free (Bareiss) elimination over all rows, with row pivoting:
+    each column's pivot is the first remaining row whose eliminated entry
+    there is nonzero.  The chosen rows come first in the order they were
+    picked, the others follow in their original order, and the last pivot is
+    the block's determinant up to sign (1 for a matrix with no columns).  A
+    column without a pivot means rank deficiency and raises
+    PreconditionError.
+    """
+    if m.cols > m.rows:
+        raise PreconditionError("more columns than rows: cannot have full column rank")
+    work = [list(row) for row in m.data]
     remaining = list(range(m.rows))
     selected = []
     prev = 1
@@ -110,75 +84,14 @@ def _select_rows_bareiss(m: IntMat) -> tuple[list[int], int]:
                 ri[j] = (ri[j] * pr[col] - fct * pr[j]) // prev
             ri[col] = 0
         prev = pr[col]
-    return selected, abs(prev)
-
-
-def _select_rows_mod_p(m: IntMat, p: int) -> list[int] | None:
-    work = [[x % p for x in row] for row in m.data]
-    remaining = list(range(m.rows))
-    selected = []
-    for col in range(m.cols):
-        pick = None
-        for i in remaining:
-            if work[i][col] % p != 0:
-                pick = i
-                break
-        if pick is None:
-            return None
-        selected.append(pick)
-        remaining.remove(pick)
-        inv = pow(work[pick][col], -1, p)
-        prow = [x * inv % p for x in work[pick]]
-        for i in remaining:
-            f = work[i][col]
-            if f:
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], prow)]
-    return selected
-
-
-def pivot_permutation(m: IntMat, seed: int | None = None
-                      ) -> tuple[tuple[int, ...], int]:
-    """Row order placing m independent rows of a full-column-rank matrix
-    first, and the absolute determinant of that leading block.
-
-    Deterministic by default (exact fraction-free elimination, whose last
-    pivot is the determinant).  With a seed, a randomized modular fast path
-    picks candidate rows modulo random primes and verifies the chosen block
-    by its exact determinant, falling back to the deterministic path after
-    four failed primes.
-    """
-    if m.cols > m.rows:
-        raise PreconditionError("more columns than rows: cannot have full column rank")
-    if m.cols == 0:
-        return tuple(range(m.rows)), 1
-    selected = None
-    if seed is not None:
-        rng = random.Random(seed)
-        bits = max(17, _column_bit_budget(m).bit_length() + 20)
-        for _ in range(4):
-            p = 0
-            while not _is_probable_prime(p):
-                p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-            cand = _select_rows_mod_p(m, p)
-            if cand is None:
-                continue
-            block = IntMat([m.row(i) for i in cand], m.cols, m.cols)
-            det = abs(determinant(block))
-            if det != 0:
-                selected = cand
-                break
-    if selected is None:
-        selected, det = _select_rows_bareiss(m)
-    rest = [i for i in range(m.rows) if i not in set(selected)]
-    return tuple(selected + rest), det
+    return tuple(selected + remaining), abs(prev)
 
 
 def apply_row_order(m: IntMat, order: tuple[int, ...]) -> IntMat:
-    return IntMat([m.row(i) for i in order], m.rows, m.cols)
+    return IntMat._of_rows([list(m.data[i]) for i in order], m.rows, m.cols)
 
 
-def to_smith_coprime(m: IntMat, g: IntMat, *,
-                     seed: int | None = None) -> tuple[SmithForm, IntMat]:
+def to_smith_coprime(m: IntMat, g: IntMat) -> tuple[SmithForm, IntMat]:
     """Rewrite the relations input (M, G) as a coprime Smith-modulus pair.
 
     Six rewrites: pick a nonsingular pivot block of M; massage it to Smith
@@ -197,7 +110,7 @@ def to_smith_coprime(m: IntMat, g: IntMat, *,
         raise DimensionError("modulus and G must agree on column count")
     cols = m.cols
     # 1: permute a nonsingular block to the top
-    order, det = pivot_permutation(m, seed=seed)
+    order, det = pivot_permutation(m)
     pm = apply_row_order(m, order)
     # 2: Smith form of the pivot block, folded through the massager
     m1 = pm.submatrix(0, cols, 0, cols)

@@ -7,6 +7,7 @@ from hnfkit.apps import (
     product_hnf,
     remainder_mod_hermite,
 )
+from hnfkit.hermite_basis import relations_hermite_basis
 from hnfkit.intmat import (
     DiagonalModulus,
     HermiteBasis,
@@ -21,7 +22,7 @@ from hnfkit.intmat import (
     vstack,
 )
 from hnfkit.oracle import naive_hnf
-from hnfkit.relations import relations_basis_oracle
+from hnfkit.relations import pivot_permutation, relations_basis_oracle, to_smith_coprime
 
 from .conftest import rand_full_col_rank, rand_hermite, rand_mat, rand_nonsingular
 
@@ -46,10 +47,28 @@ class TestHnf:
         with pytest.raises(PreconditionError):
             hnf(IntMat([[2, 4], [1, 2]]))
 
-    def test_seed_is_keyword_only(self):
-        # a positional second argument (the old failure budget) is refused
-        with pytest.raises(TypeError):
-            hnf(EX4, 0.5)
+
+I2 = IntMat.identity(2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hnf(EX4, seed=1),
+    lambda: remainder_mod_hermite(I2, HermiteBasis(I2), seed=1),
+    lambda: product_hnf(I2, I2, seed=1),
+    lambda: lattice_intersection(I2, I2, seed=1),
+    lambda: multivariable_crt(DiagonalModulus([3, 5]), I2, IntMat([[1, 1]]), seed=1),
+    lambda: relations_hermite_basis(EX4, IntMat.identity(3), seed=1),
+    lambda: to_smith_coprime(EX4, IntMat.identity(3), seed=1),
+    lambda: pivot_permutation(EX4, seed=1),
+    # a positional second argument (the old failure budget) is refused too
+    lambda: hnf(EX4, 0.5),
+], ids=["hnf", "remainder_mod_hermite", "product_hnf", "lattice_intersection",
+        "multivariable_crt", "relations_hermite_basis", "to_smith_coprime",
+        "pivot_permutation", "hnf_positional"])
+def test_seed_is_refused(call):
+    # every path is deterministic: no entry point takes a seed
+    with pytest.raises(TypeError):
+        call()
 
 
 class TestRemainder:

@@ -71,10 +71,11 @@ class TestHnfCommand:
         assert parse_matrix(open(dest).read()) == IntMat([[1, 2, 3], [0, 3, 6], [0, 0, 8]])
 
     def test_seed_flag(self, tmp_path, capsys):
+        # every path is deterministic, so the flag is an unknown argument
         path = write(tmp_path, "m.mat", EX4_TEXT)
-        code, out, _ = run_cli(["hnf", "--in", path, "--seed", "7"], capsys)
-        assert code == 0
-        assert parse_matrix(out) == IntMat([[1, 2, 3], [0, 3, 6], [0, 0, 8]])
+        code, out, err = run_cli(["hnf", "--in", path, "--seed", "7"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 class TestExitCodes:

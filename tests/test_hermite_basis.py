@@ -193,6 +193,9 @@ class TestRelationsHermiteBasis:
         # a negative band is out of range even when k <= n - band holds
         with pytest.raises(PreconditionError, match="^index band out of range$"):
             relations_hermite_basis(IntMat.identity(2), IntMat.identity(2), index=(3, -1))
+        # the band is checked before the rewrite can reject a rank-deficient modulus
+        with pytest.raises(PreconditionError, match="^index band out of range$"):
+            relations_hermite_basis(IntMat([[1, 2], [2, 4]]), IntMat.identity(2), index=(0, -1))
 
     def test_rank_deficiency_raises(self):
         with pytest.raises(PreconditionError):
