@@ -29,6 +29,7 @@ from .intmat import (
     colmod_mul,
     determinant,
     format_matrix,
+    invariant_checks,
     lattice_contains,
     matmul,
     parse_matrix,
@@ -61,11 +62,12 @@ __all__ = [
     "colmod_mul_tall_square", "colmod_mul_wide_tall", "coprime_parts",
     "determinant", "format_matrix", "hermite_basis", "hermite_of_stack",
     "hermite_via_howell", "hermite_with_eliminator", "hnf", "howell_form",
-    "lattice_contains", "lattice_intersection", "matmul", "multivariable_crt",
-    "parse_matrix", "pivot_permutation", "product_hnf", "relations_basis_oracle",
-    "relations_hermite_basis", "remainder_mod_hermite", "rowmod",
-    "set_invariant_checks", "smith_massager", "stage_apply", "stage_transform",
-    "structured_hermite_blocks", "to_smith_coprime", "verify_massager",
+    "invariant_checks", "lattice_contains", "lattice_intersection", "matmul",
+    "multivariable_crt", "parse_matrix", "pivot_permutation", "product_hnf",
+    "relations_basis_oracle", "relations_hermite_basis", "remainder_mod_hermite",
+    "rowmod", "set_invariant_checks", "smith_massager", "stage_apply",
+    "stage_transform", "structured_hermite_blocks", "to_smith_coprime",
+    "verify_massager",
 ]
 
 __version__ = "0.1.0"

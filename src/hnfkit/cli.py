@@ -24,10 +24,10 @@ from .intmat import (
     PreconditionError,
     colmod,
     format_matrix,
+    invariant_checks,
     invariant_checks_enabled,
     matmul,
     parse_matrix,
-    set_invariant_checks,
     vstack,
 )
 from .massager import smith_massager
@@ -127,10 +127,8 @@ def _two_inputs(args) -> tuple[IntMat, IntMat]:
 
 
 def _run(args) -> int:
-    checks_were_on = invariant_checks_enabled()
-    if args.debug:
-        set_invariant_checks(True)
-    try:
+    # --debug-invariants turns the checks on; otherwise the caller's setting holds
+    with invariant_checks(args.debug or invariant_checks_enabled()):
         if args.command == "hnf":
             a = _one_input(args)
             h = oracle.naive_hnf(a) if args.use_oracle else apps.hnf(a)
@@ -199,8 +197,6 @@ def _run(args) -> int:
             print("ok", file=sys.stderr)
         else:   # pragma: no cover
             raise ParseError(f"unknown command {args.command}")
-    finally:
-        set_invariant_checks(checks_were_on)
     return EXIT_OK
 
 

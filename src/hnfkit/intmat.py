@@ -16,23 +16,37 @@ sign-following remainder.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain
 from math import prod
 from operator import index, lt, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-_INVARIANT_CHECKS = False
+# the switch for the expensive runtime assertion suite; a contextvar, so a
+# setting made in one thread or asyncio task does not leak into another
+_INVARIANT_CHECKS: ContextVar[bool] = ContextVar("hnfkit_invariant_checks", default=False)
 
 
 def set_invariant_checks(enabled: bool) -> None:
-    """Globally enable the expensive runtime assertion suite."""
-    global _INVARIANT_CHECKS
-    _INVARIANT_CHECKS = bool(enabled)
+    """Enable or disable the runtime assertion suite in the current context."""
+    _INVARIANT_CHECKS.set(bool(enabled))
+
+
+@contextmanager
+def invariant_checks(enabled: bool) -> Iterator[None]:
+    """Run the block with the runtime assertion suite on or off, then restore
+    the previous setting."""
+    token = _INVARIANT_CHECKS.set(bool(enabled))
+    try:
+        yield
+    finally:
+        _INVARIANT_CHECKS.reset(token)
 
 
 def invariant_checks_enabled() -> bool:
-    return _INVARIANT_CHECKS
+    return _INVARIANT_CHECKS.get()
 
 
 class PreconditionError(ValueError):

@@ -5,15 +5,39 @@ of M, M*F == 0 column-modulo S, and (S, F) coprime; the reduced variant keeps
 F column-reduced modulo S.  The massager compactly carries the denominator
 structure of M^{-1} and is the interchange format of the whole pipeline.
 
-`smith_massager` here is a deterministic engine: alternating row and column
-Hermite passes carried out modulo the determinant, tracking only the right
-multiplier, then a gcd/lcm repair of the divisibility chain.
+Two engines share one modular core, `_massager_mod`: alternating row and
+column Hermite passes carried out modulo a divisor N of the determinant,
+tracking only the right multiplier, then a gcd/lcm repair of the
+divisibility chain.
+
+* `smith_massager`, the public engine, runs the core with N = |det M|.
+* `_entry_massager` serves only the dense pivot block of
+  `relations.to_smith_coprime` (step 2), the one massager input that is not
+  triangular.  Following the Smith-massager method of Birmpilis, Labahn and
+  Storjohann (ISSAC 2020; J. Symbolic Comput. 2023), it gets the dense part
+  of the Smith form from one Dixon p-adic solve (Dixon 1982) of
+  y = det*M^-1*b.  That splits |det M| = d1*d2, with d1 the part coprime to
+  the content of y; the core then runs modulo the small leftover d2 only.
+
+The entry engine certifies its result by two exact checks: prod S == |det M|
+and M*F == 0 column-modulo S.  They suffice by this lemma.  Let
+G = M^-1*Z^n / Z^n, a group of order |det M| isomorphic to the cokernel of
+M.  The second check places each f_j/s_j in M^-1*Z^n, so the map
+Z/s_1 + ... + Z/s_n -> G sending e_j to f_j/s_j is well defined.  It is
+injective: at the primes of d2 the columns come from the core's unimodular
+transform, and at each prime q of d1 the last column has the full q-order of
+G, because q does not divide the content of y.  By the first check the two
+groups have the same order, so the map is onto, G has invariant factors
+s_1 | ... | s_n, and by the uniqueness of invariant factors S is the Smith
+form of M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
+from operator import mul
+from typing import Callable
 
 from . import modn, structured_hermite
 from .intmat import (
@@ -24,9 +48,13 @@ from .intmat import (
     SmithForm,
     colmod,
     determinant,
+    invariant_checks_enabled,
     matmul,
     require_colreduced,
 )
+
+# the lifting prime of the entry massager: a word-size Mersenne prime
+_P = (1 << 61) - 1
 
 
 @dataclass(frozen=True)
@@ -148,27 +176,15 @@ def _col_pass_modd(a: list[list[int]], v: list[list[int]], n: int, d: int) -> No
                     row[j] = (row[j] - q * row[r]) % d
 
 
-def smith_massager(m: IntMat, *, det: int | None = None) -> SmithMassager:
-    """Reduced Smith massager of a nonsingular matrix.
+def _massager_mod(a: list[list[int]], n: int, d: int) -> tuple[list[int], list[list[int]]]:
+    """Smith form of M over Z/(d) and a right transform V, tracked mod d.
 
-    Works modulo d = |det m| throughout: d*Z^n lies inside the lattice, so
-    entries and the right multiplier stay determinant-bounded, and the left
-    multiplier is never formed.  The reduced massager colmod(V, S) is
-    unchanged by the modular tracking because every invariant factor divides
-    the determinant.  The invariant-factor product is checked against d.
-
-    A caller that already knows d may pass it as `det`, which must equal
-    |det m| exactly; otherwise it is computed here.
+    `a` holds M with entries in [0, d) and is overwritten.  The diagonal
+    entries are gcd(s_i, d) for the invariant factors s_i of M, in a
+    divisibility chain; every column j of V satisfies M*v_j == 0 modulo the
+    j-th entry.  d must be a unitary divisor of |det M| (coprime to its
+    cofactor), so the entries multiply to d exactly; that is checked.
     """
-    if not m.is_square():
-        raise DimensionError("smith massager needs a square matrix")
-    n = m.rows
-    d = abs(determinant(m)) if det is None else det
-    if d == 0:
-        raise PreconditionError("singular input to smith massager")
-    if d == 1:
-        return SmithMassager(SmithForm((1,) * n), IntMat.zeros(n, n))
-    a = [[x % d for x in row] for row in m.data]
     v = IntMat.identity(n).to_rows()
     passes = 0
     while not _is_diagonal(a, n):
@@ -198,13 +214,155 @@ def smith_massager(m: IntMat, *, det: int | None = None) -> SmithMassager:
             for row in v:
                 row[j] = (row[j] - q * row[i]) % d
             diag[i], diag[j] = g, lcm
-    prod = 1
-    for x in diag:
-        prod *= x
-    if prod != d:
+    if prod(diag) != d:
         raise InternalError("invariant factor product does not match the determinant")
+    return diag, v
+
+
+def smith_massager(m: IntMat, *, det: int | None = None) -> SmithMassager:
+    """Reduced Smith massager of a nonsingular matrix.
+
+    Works modulo d = |det m| throughout: d*Z^n lies inside the lattice, so
+    entries and the right multiplier stay determinant-bounded, and the left
+    multiplier is never formed.  The reduced massager colmod(V, S) is
+    unchanged by the modular tracking because every invariant factor divides
+    the determinant.  The invariant-factor product is checked against d.
+
+    A caller that already knows d may pass it as `det`, which must equal
+    |det m| exactly; otherwise it is computed here.
+    """
+    if not m.is_square():
+        raise DimensionError("smith massager needs a square matrix")
+    n = m.rows
+    d = abs(determinant(m)) if det is None else det
+    if d == 0:
+        raise PreconditionError("singular input to smith massager")
+    if d == 1:
+        return SmithMassager(SmithForm((1,) * n), IntMat.zeros(n, n))
+    diag, v = _massager_mod([[x % d for x in row] for row in m.data], n, d)
     s = SmithForm(diag)
-    return SmithMassager(s, colmod(IntMat(v, n, n), s))
+    return SmithMassager(s, colmod(IntMat._of_rows(v, n, n), s))
+
+
+def _lu_solver(rows: tuple[tuple[int, ...], ...], n: int) -> Callable[[list[int]], list[int]]:
+    """Solver of M*x == r modulo _P from one LU factorisation of M mod _P.
+
+    M must be invertible modulo _P.  The returned function takes r with
+    entries in [0, _P).
+    """
+    a = [[x % _P for x in row] for row in rows]
+    perm = list(range(n))
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k])
+        a[k], a[piv] = a[piv], a[k]
+        perm[k], perm[piv] = perm[piv], perm[k]
+        rk = a[k]
+        inv = pow(rk[k], -1, _P)
+        tail = rk[k + 1:]
+        for ri in a[k + 1:]:
+            if ri[k]:
+                f = ri[k] * inv % _P
+                ri[k] = f
+                ri[k + 1:] = [(x - f * y) % _P for x, y in zip(ri[k + 1:], tail)]
+    # L below the diagonal as prefixes; U above it as reversed suffixes, so
+    # both substitutions are one zip against the solution built so far
+    lower = [a[i][:i] for i in range(n)]
+    upper = [a[i][:i:-1] for i in range(n)]
+    pivinv = [pow(a[i][i], -1, _P) for i in range(n)]
+
+    def solve(r: list[int]) -> list[int]:
+        z = []
+        for i in range(n):
+            z.append((r[perm[i]] - sum(map(mul, lower[i], z))) % _P)
+        xr = []
+        for i in range(n - 1, -1, -1):
+            xr.append((z[i] - sum(map(mul, upper[i], xr))) * pivinv[i] % _P)
+        return xr[::-1]
+
+    return solve
+
+
+def _lifted_solution(m: IntMat, det: int) -> list[int]:
+    """y = det * M^-1 * b for the fixed right-hand side b = (1, 2, ..., n).
+
+    Dixon p-adic lifting with p = _P, which must not divide det: one LU
+    factorisation mod p, then one p-adic digit of M^-1*b per step.  Since
+    det*M^-1 is integral, y is the symmetric residue of det*x mod p^k as soon
+    as p^k > 2*max|y|.  Lifting stops early once that residue repeats and
+    M*y == det*b holds exactly; the Hadamard bound on the Cramer minors
+    |y_i| caps the number of steps, and a vector that still fails there
+    raises InternalError.
+    """
+    rows, n = m.data, m.rows
+    b = list(range(1, n + 1))
+    target = [det * bi for bi in b]
+    # |y_i| is a minor with column i replaced by b; its rows have norms at
+    # most sqrt(|row_r|^2 + b_r^2)
+    bound_bits = (sum((sum(x * x for x in row) + br * br).bit_length()
+                      for row, br in zip(rows, b)) + 1) // 2
+    solve = _lu_solver(rows, n)
+    r, x, pk, prev = b, [0] * n, 1, None
+    while True:
+        digit = solve([ri % _P for ri in r])
+        x = [xi + pk * di for xi, di in zip(x, digit)]
+        pk *= _P
+        r = [(ri - sum(map(mul, row, digit))) // _P for ri, row in zip(r, rows)]
+        half = pk >> 1
+        y = [(det * xi + half) % pk - half for xi in x]
+        final = pk.bit_length() > bound_bits + 2
+        if y == prev or final:
+            if [sum(map(mul, row, y)) for row in rows] == target:
+                return y
+            if final:
+                raise InternalError("p-adic lifting passed the Hadamard bound unsolved")
+        prev = y
+
+
+def _entry_massager(m: IntMat, det: int) -> SmithMassager:
+    """Reduced Smith massager of a nonsingular M whose |det M| is known.
+
+    One p-adic solve y = det*M^-1*b splits det = d1*d2 with d1 the part of
+    det coprime to the content of y.  At each prime q of d1 the element y/det
+    of G = M^-1*Z^n / Z^n has the full order q^v_q(det), so the q-part of
+    G is cyclic and the Smith form carries all of d1 in its last factor.  The
+    deterministic passes then run modulo the leftover d2 only, and the last
+    massager column is the CRT of theirs with y mod d1.  An upper-triangular
+    block, or one whose det the lifting prime divides, skips the solve
+    (d1 = 1): the result is then smith_massager's.
+
+    The result is certified by prod S == det and M*F == 0 column-modulo S;
+    see the module docstring for why that suffices.  A failure raises
+    InternalError.
+    """
+    n, rows = m.rows, m.data
+    if det == 1:
+        return SmithMassager(SmithForm((1,) * n), IntMat.zeros(n, n))
+    y = None
+    if det % _P and any(any(rows[i][:i]) for i in range(1, n)):
+        y = _lifted_solution(m, det)
+    d1 = 1 if y is None else modn.coprime_part(det, gcd(det, *y))
+    d2 = det // d1
+    diag, v = _massager_mod([[x % d2 for x in row] for row in rows], n, d2)
+    if d1 > 1:
+        last = diag[-1]
+        w = pow(last, -1, d1)   # last divides d2, which is coprime to d1
+        for row, yi in zip(v, y):
+            x = row[-1] % last
+            row[-1] = x + last * ((yi - x) * w % d1)
+        diag[-1] = last * d1
+    s = SmithForm(diag)
+    f = colmod(IntMat._of_rows(v, n, n), s)
+    if prod(diag) != det:
+        raise InternalError("entry massager: invariant factor product is not the determinant")
+    for j, sj in enumerate(diag):
+        if sj > 1:
+            col = f.column(j)
+            if any(sum(map(mul, row, col)) % sj for row in rows):
+                raise InternalError("entry massager: M*F is not zero column-modulo S")
+    mas = SmithMassager(s, f)
+    if invariant_checks_enabled() and not verify_massager(m, mas):
+        raise InternalError("entry massager failed verify_massager")
+    return mas
 
 
 def verify_massager(m: IntMat, mas: SmithMassager) -> bool:

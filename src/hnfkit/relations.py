@@ -27,7 +27,7 @@ from .intmat import (
     hstack,
     vstack,
 )
-from .massager import smith_massager
+from .massager import _entry_massager, smith_massager
 from .structured_hermite import coprime_parts, hermite_of_stack
 
 
@@ -102,9 +102,10 @@ def to_smith_coprime(m: IntMat, g: IntMat) -> tuple[SmithForm, IntMat]:
     `colmod_mul`.
 
     The pivot selection already knows |det| of the pivot block, so step 2
-    hands it to the massager instead of eliminating the block a second time.
-    The later massager inputs are Hermite bases, whose determinant
-    `determinant` reads off the diagonal.
+    hands it to the entry massager, which gets the dense part of the Smith
+    form from one p-adic solve.  The later massager inputs are Hermite bases,
+    which go to the deterministic `smith_massager`; `determinant` reads their
+    determinant off the diagonal.
     """
     if m.cols != g.cols:
         raise DimensionError("modulus and G must agree on column count")
@@ -115,7 +116,7 @@ def to_smith_coprime(m: IntMat, g: IntMat) -> tuple[SmithForm, IntMat]:
     # 2: Smith form of the pivot block, folded through the massager
     m1 = pm.submatrix(0, cols, 0, cols)
     m2 = pm.submatrix(cols, pm.rows, 0, cols)
-    mas1 = smith_massager(m1, det=det)
+    mas1 = _entry_massager(m1, det)
     s1, v1 = mas1.s, mas1.f
     m3 = colmod_mul(m2, v1, s1)
     g1 = colmod_mul(g, v1, s1)

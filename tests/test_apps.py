@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnfkit.apps import (
     hnf,
@@ -46,6 +48,29 @@ class TestHnf:
     def test_rank_deficient(self):
         with pytest.raises(PreconditionError):
             hnf(IntMat([[2, 4], [1, 2]]))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_smith_products_vs_naive(self, data):
+        # U*D*V with unimodular U, V and D a Smith chain, cyclic or not, whose
+        # steps reach 2^200: the entry massager's split and local completion
+        n = data.draw(st.integers(1, 5))
+        cyclic = data.draw(st.booleans())
+        steps = st.one_of(st.sampled_from([1, 1, 2, 3, 4, 6, 12]),
+                          st.integers(1, 1 << 200))
+        diag, cur = [], 1
+        for i in range(n):
+            if i == n - 1 or not cyclic:
+                cur *= data.draw(steps)
+            diag.append(cur)
+        entry = st.integers(-4, 4)
+        lower = [[data.draw(entry) if j < i else int(i == j) for j in range(n)]
+                 for i in range(n)]
+        upper = [[data.draw(entry) if j > i else int(i == j) for j in range(n)]
+                 for i in range(n)]
+        a = matmul(matmul(IntMat(lower), IntMat.diagonal(diag)),
+                   matmul(IntMat(upper), IntMat(lower[::-1])))
+        assert hnf(a).mat == naive_hnf(a).mat
 
 
 I2 = IntMat.identity(2)

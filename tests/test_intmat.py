@@ -1,3 +1,5 @@
+import contextvars
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from hnfkit.intmat import (
     determinant,
     format_matrix,
     hstack,
+    invariant_checks,
+    invariant_checks_enabled,
     lattice_contains,
     matadd,
     matmul,
@@ -22,6 +26,7 @@ from hnfkit.intmat import (
     matsub,
     parse_matrix,
     rowmod,
+    set_invariant_checks,
     vstack,
 )
 from .conftest import assert_trusted, rand_mat
@@ -324,3 +329,23 @@ class TestTextFormat:
         assert parse_matrix(format_matrix(a)) == a
         b = IntMat([[], []], 2, 0)
         assert parse_matrix(format_matrix(b)) == b
+
+
+class TestInvariantChecks:
+    def test_context_manager_nests_and_restores(self):
+        assert invariant_checks_enabled() is False
+        with invariant_checks(True):
+            assert invariant_checks_enabled() is True
+            with invariant_checks(False):
+                assert invariant_checks_enabled() is False
+            assert invariant_checks_enabled() is True
+            with pytest.raises(ZeroDivisionError):
+                with invariant_checks(False):
+                    1 // 0
+            assert invariant_checks_enabled() is True
+        assert invariant_checks_enabled() is False
+
+    def test_setting_stays_in_its_context(self):
+        # a setting made inside a copied context does not leak into the caller
+        contextvars.copy_context().run(set_invariant_checks, True)
+        assert invariant_checks_enabled() is False

@@ -1,7 +1,21 @@
+from math import gcd
+
 import pytest
 
-from hnfkit.intmat import IntMat, PreconditionError, SmithForm
+from hnfkit import cli, massager
+from hnfkit.apps import hnf
+from hnfkit.intmat import (
+    IntMat,
+    InternalError,
+    PreconditionError,
+    SmithForm,
+    determinant,
+    format_matrix,
+    invariant_checks,
+    matmul,
+)
 from hnfkit.massager import SmithMassager, smith_massager, verify_massager
+from hnfkit.modn import coprime_part
 from hnfkit.oracle import naive_hnf, naive_smith
 from hnfkit.relations import relations_basis_oracle
 
@@ -92,3 +106,117 @@ class TestSmithMassager:
     def test_reduced_invariant_enforced(self):
         with pytest.raises(PreconditionError):
             SmithMassager(SmithForm([4]), IntMat([[5]]))
+
+
+P61 = (1 << 61) - 1
+# unit lower and unit upper triangular, so U*D*V has the Smith form of D
+U4 = IntMat([[1, 0, 0, 0], [2, 1, 0, 0], [-1, 3, 1, 0], [4, -2, 5, 1]])
+V4 = IntMat([[1, 3, -2, 1], [0, 1, 4, -1], [0, 0, 1, 2], [0, 0, 0, 1]])
+
+
+def _udv(diag):
+    return matmul(matmul(U4, IntMat.diagonal(diag)), V4)
+
+
+def _lifted_part(m):
+    """d1: the part of |det m| that the p-adic solve settles."""
+    d = abs(determinant(m))
+    return coprime_part(d, gcd(d, *massager._lifted_solution(m, d)))
+
+
+class TestEntryMassager:
+    """The certified p-adic engine behind step 2 of to_smith_coprime."""
+
+    @staticmethod
+    def check(m):
+        mas = massager._entry_massager(m, abs(determinant(m)))
+        assert verify_massager(m, mas)
+        assert mas.s == smith_massager(m).s
+        assert hnf(m).mat == naive_hnf(m).mat
+        return mas
+
+    @staticmethod
+    def no_solve(monkeypatch):
+        def refuse(m, det):
+            raise AssertionError("the p-adic solve must be skipped here")
+        monkeypatch.setattr(massager, "_lifted_solution", refuse)
+
+    def test_cyclic_dense_needs_no_local_pass(self):
+        m = IntMat([[5, -1, -2, 9], [-6, 1, -9, -9], [-9, 8, -9, 3], [-3, 4, -9, 7]])
+        assert abs(determinant(m)) == 438 == _lifted_part(m)   # d2 == 1
+        assert self.check(m).s.diag == (1, 1, 1, 438)
+
+    def test_noncyclic_needs_local_completion(self):
+        m = _udv([1, 1, 2, 6])
+        assert _lifted_part(m) == 3   # d2 == 4 goes to the deterministic passes
+        assert self.check(m).s.diag == (1, 1, 2, 6)
+
+    def test_ci_example_noncyclic(self):
+        m = IntMat([[1, 2, -1], [2, 6, 6], [-1, 4, 31]])
+        assert self.check(m).s.diag == (1, 2, 6)
+        assert hnf(m).mat == IntMat([[1, 0, 3], [0, 2, 2], [0, 0, 6]])
+
+    def test_det_divisible_by_lifting_prime(self, monkeypatch):
+        m = _udv([1, 1, 2, 6 * P61])
+        self.no_solve(monkeypatch)
+        assert self.check(m).s.diag == (1, 1, 2, 6 * P61)
+
+    def test_triangular_block(self, monkeypatch):
+        m = IntMat([[4, 7, -3], [0, 6, 5], [0, 0, -10]])
+        self.no_solve(monkeypatch)
+        mas = self.check(m)
+        # with d1 == 1 the engine is smith_massager, column for column
+        assert mas == smith_massager(m)
+
+    def test_small_dimensions_and_unit_det(self, monkeypatch):
+        self.no_solve(monkeypatch)
+        for m in (IntMat([], 0, 0), IntMat([[-7]]), IntMat([[1]]),
+                  _udv([1, 1, 1, 1]), IntMat([[2, 1], [1, 1]])):
+            self.check(m)
+        assert massager._entry_massager(IntMat([], 0, 0), 1).s.diag == ()
+
+    def test_huge_entries(self):
+        big = (1 << 211) + 5
+        for diag in ([1, 1, 1, big * 3], [1, 2, 2 * big, 6 * big * big]):
+            m = _udv(diag)
+            assert max(abs(x) for r in m.data for x in r).bit_length() >= 200
+            assert self.check(m).s.diag == tuple(diag)
+
+    def test_random_against_smith_massager(self, rng):
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            m = rand_nonsingular(rng, n, -30, 30)
+            mas = massager._entry_massager(m, abs(determinant(m)))
+            assert mas.s == smith_massager(m).s
+            assert verify_massager(m, mas)
+
+    def test_wrong_lifted_vector_is_caught(self, monkeypatch, tmp_path, capsys):
+        m = IntMat([[5, -1, -2, 9], [-6, 1, -9, -9], [-9, 8, -9, 3], [-3, 4, -9, 7]])
+        honest = massager._lifted_solution
+
+        def off_by_one(mat, det):
+            y = honest(mat, det)
+            return [y[0] + 1] + y[1:]
+        monkeypatch.setattr(massager, "_lifted_solution", off_by_one)
+        with pytest.raises(InternalError, match="M\\*F is not zero"):
+            massager._entry_massager(m, 438)
+        with pytest.raises(InternalError):
+            hnf(m)
+        path = tmp_path / "m.mat"
+        path.write_text(format_matrix(m))
+        assert cli.main(["hnf", "--in", str(path)]) == cli.EXIT_INTERNAL
+        assert capsys.readouterr().out == ""
+
+    def test_invariant_checks_run_verify_massager(self, monkeypatch):
+        calls = []
+
+        def counting(m, mas):
+            calls.append(m)
+            return verify_massager(m, mas)
+        monkeypatch.setattr(massager, "verify_massager", counting)
+        m = _udv([1, 1, 2, 6])
+        massager._entry_massager(m, 12)
+        assert calls == []
+        with invariant_checks(True):
+            massager._entry_massager(m, 12)
+        assert calls == [m]

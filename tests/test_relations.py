@@ -103,7 +103,7 @@ class TestToSmithCoprime:
         # oracle basis after each rewrite
         from hnfkit.intmat import DiagonalModulus
         from hnfkit.linmul import colmod_mul_signed, colmod_mul_tall_square
-        from hnfkit.massager import smith_massager
+        from hnfkit.massager import _entry_massager, smith_massager
         from hnfkit.structured_hermite import coprime_parts, hermite_of_stack
 
         for _ in range(40):
@@ -115,7 +115,7 @@ class TestToSmithCoprime:
             order, det = pivot_permutation(modulus)
             pm = apply_row_order(modulus, order)
             assert relations_basis_oracle(pm, g).mat == expect
-            mas1 = smith_massager(pm.submatrix(0, m, 0, m), det=det)
+            mas1 = _entry_massager(pm.submatrix(0, m, 0, m), det)
             m3 = colmod_mul_signed(pm.submatrix(m, pm.rows, 0, m), mas1.f, mas1.s)
             g1 = colmod_mul_signed(g, mas1.f, mas1.s)
             stacked = vstack(mas1.s.as_matrix(), m3)
