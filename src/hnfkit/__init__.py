@@ -34,7 +34,6 @@ from .intmat import (
     matmul,
     parse_matrix,
     rowmod,
-    set_invariant_checks,
 )
 from .linmul import (
     XadicPlan,
@@ -65,7 +64,7 @@ __all__ = [
     "invariant_checks", "lattice_contains", "lattice_intersection", "matmul",
     "multivariable_crt", "parse_matrix", "pivot_permutation", "product_hnf",
     "relations_basis_oracle", "relations_hermite_basis", "remainder_mod_hermite",
-    "rowmod", "set_invariant_checks", "smith_massager", "stage_apply",
+    "rowmod", "smith_massager", "stage_apply",
     "stage_transform", "structured_hermite_blocks", "to_smith_coprime",
     "verify_massager",
 ]

@@ -13,7 +13,8 @@ import argparse
 import sys
 from math import lcm
 
-from . import apps, oracle, relations
+from . import apps
+from .hermite_basis import relations_hermite_basis
 from .howell import hermite_via_howell, howell_form
 from .intmat import (
     DiagonalModulus,
@@ -22,11 +23,11 @@ from .intmat import (
     InternalError,
     ParseError,
     PreconditionError,
+    annihilates,
     colmod,
     format_matrix,
     invariant_checks,
     invariant_checks_enabled,
-    matmul,
     parse_matrix,
     vstack,
 )
@@ -91,8 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="right-hand-side matrix file")
         p.add_argument("--out", dest="out", metavar="FILE", default=None,
                        help="write output here instead of stdout")
-        p.add_argument("--oracle", dest="use_oracle", action="store_true",
-                       help="route through the naive reference path")
         p.add_argument("--debug-invariants", dest="debug", action="store_true",
                        help="enable the runtime assertion suite")
         return p
@@ -131,8 +130,7 @@ def _run(args) -> int:
     with invariant_checks(args.debug or invariant_checks_enabled()):
         if args.command == "hnf":
             a = _one_input(args)
-            h = oracle.naive_hnf(a) if args.use_oracle else apps.hnf(a)
-            _emit([h.mat], args.out)
+            _emit([apps.hnf(a).mat], args.out)
         elif args.command == "massager":
             a = _one_input(args)
             mas = smith_massager(a)
@@ -140,12 +138,7 @@ def _run(args) -> int:
         elif args.command == "relbasis":
             mod = _read(args.mod)
             f = _one_input(args)
-            if args.use_oracle:
-                h = relations.relations_basis_oracle(mod, f)
-            else:
-                from .hermite_basis import relations_hermite_basis
-                h = relations_hermite_basis(mod, f)
-            _emit([h.mat], args.out)
+            _emit([relations_hermite_basis(mod, f).mat], args.out)
         elif args.command == "howell":
             a = _one_input(args)
             res = howell_form(a, args.modulus_n)
@@ -153,18 +146,10 @@ def _run(args) -> int:
         elif args.command == "remainder":
             mod = HermiteBasis(_read(args.mod))
             f = _one_input(args)
-            if args.use_oracle:
-                fbar = relations.remainder_with_respect_to(f, mod)
-            else:
-                fbar = apps.remainder_mod_hermite(f, mod)
-            _emit([fbar], args.out)
+            _emit([apps.remainder_mod_hermite(f, mod)], args.out)
         elif args.command == "product-hnf":
             a, b = _two_inputs(args)
-            if args.use_oracle:
-                h = oracle.naive_hnf(matmul(a, b))
-            else:
-                h = apps.product_hnf(a, b)
-            _emit([h.mat], args.out)
+            _emit([apps.product_hnf(a, b).mat], args.out)
         elif args.command == "intersect":
             a, b = _two_inputs(args)
             h = apps.lattice_intersection(a, b)
@@ -183,11 +168,8 @@ def _run(args) -> int:
             if len(args.inputs) == 3:
                 s = _diag_modulus(_read(args.inputs[1]))
                 f = colmod(_read(args.inputs[2]), s)   # raises unless S is nonsingular
-                prod = matmul(h.mat, f)
-                for row in prod.data:
-                    for v, d in zip(row, s.diag):
-                        if v % d != 0:
-                            raise PreconditionError("claimed basis does not annihilate F modulo S")
+                if not annihilates(h.mat, f, s):
+                    raise PreconditionError("claimed basis does not annihilate F modulo S")
                 # L(H) lies inside the relations lattice, whose index is
                 # det S / det T with T the Hermite basis of L(F) + L(S)
                 t = hermite_via_howell(vstack(f, s.as_matrix()), lcm(*s.diag))
@@ -201,6 +183,12 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # entries are arbitrary-precision: lift CPython's int/str digit limit for
+    # the call (Python 3.10 before 3.10.7 has no limit to lift)
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return _run(_build_parser().parse_args(argv))
     except PreconditionError as exc:
@@ -212,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

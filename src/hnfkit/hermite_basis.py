@@ -26,6 +26,7 @@ from .intmat import (
     InternalError,
     PreconditionError,
     SmithForm,
+    annihilates,
     colmod_mul,
     invariant_checks_enabled,
     matmul,
@@ -82,7 +83,7 @@ def base_case(s: int, f: IntMat, k: int) -> HermiteBasis:
     rows[k][k] = s
     for i in range(k):
         rows[i][k] = (-col[i] * inv) % s
-    return HermiteBasis(IntMat._of_rows(rows, n, n), index_k=k, index_m=1)
+    return HermiteBasis(IntMat._of_rows(rows, n, n))
 
 
 def _overlay(h2: HermiteBasis, h1: HermiteBasis, k: int, m1: int, m2: int) -> HermiteBasis:
@@ -97,7 +98,7 @@ def _overlay(h2: HermiteBasis, h1: HermiteBasis, k: int, m1: int, m2: int) -> He
     top = h2.mat.data[:band]
     rows = [r2[:k] + r1[k:band] + r2[band:] for r2, r1 in zip(top, h1.mat.data)]
     rows.extend(list(r2) for r2 in h2.mat.data[band:])
-    out = HermiteBasis(IntMat._of_rows(rows, n, n), index_k=k, index_m=m1 + m2)
+    out = HermiteBasis(IntMat._of_rows(rows, n, n))
     if invariant_checks_enabled() and out.mat != matmul(h2.mat, h1.mat):
         raise InternalError("block overlay differs from the product H2*H1")
     return out
@@ -113,7 +114,7 @@ def hermite_basis(call: HBCall, trace: TraceFn | None = None) -> HermiteBasis:
     s, f, k, m = call.s, call.f, call.k, call.m
     n = f.rows
     if m == 0:
-        return HermiteBasis(IntMat.identity(n), index_k=k, index_m=0)
+        return HermiteBasis(IntMat.identity(n))
     if m == 1:
         h = base_case(s.diag[0], f, k)
         if trace is not None:
@@ -161,12 +162,8 @@ def _strip_to_band(s: SmithForm, f: IntMat, band: int) -> tuple[SmithForm, IntMa
 def _check_result(h: HermiteBasis, s: SmithForm, f: IntMat) -> None:
     if h.determinant() != s.determinant():
         raise PreconditionError("determinant of the basis differs from det S")
-    if invariant_checks_enabled():
-        prod = matmul(h.mat, f)
-        for row in prod.data:
-            for v, d in zip(row, s.diag):
-                if v % d != 0:
-                    raise PreconditionError("H*F is not zero column-modulo S")
+    if invariant_checks_enabled() and not annihilates(h.mat, f, s):
+        raise PreconditionError("H*F is not zero column-modulo S")
 
 
 def relations_hermite_basis(m: IntMat, g: IntMat, *,

@@ -29,11 +29,6 @@ from typing import Iterable, Iterator, Sequence
 _INVARIANT_CHECKS: ContextVar[bool] = ContextVar("hnfkit_invariant_checks", default=False)
 
 
-def set_invariant_checks(enabled: bool) -> None:
-    """Enable or disable the runtime assertion suite in the current context."""
-    _INVARIANT_CHECKS.set(bool(enabled))
-
-
 @contextmanager
 def invariant_checks(enabled: bool) -> Iterator[None]:
     """Run the block with the runtime assertion suite on or off, then restore
@@ -224,20 +219,13 @@ class SmithForm(DiagonalModulus):
 
 
 class HermiteBasis:
-    """Square nonsingular matrix verified to be in Hermite form.
+    """Square nonsingular matrix verified to be in Hermite form."""
 
-    Optional index metadata (k, m) records that the basis is trivial outside
-    an m-column band starting at column k: diagonals before the band and
-    after it are all 1.
-    """
+    __slots__ = ("mat",)
 
-    __slots__ = ("mat", "index_k", "index_m")
-
-    def __init__(self, mat: IntMat, index_k: int | None = None,
-                 index_m: int | None = None):
+    def __init__(self, mat: IntMat):
         if not mat.is_square():
             raise PreconditionError("Hermite basis must be square")
-        n = mat.rows
         rows = mat.data
         for i, row in enumerate(rows):
             if row[i] <= 0:
@@ -249,19 +237,7 @@ class HermiteBasis:
             upper = row[i + 1:]
             if upper and (min(upper) < 0 or not all(map(lt, upper, diag[i + 1:]))):
                 raise PreconditionError("off-diagonal entry not reduced below its column diagonal")
-        if (index_k is None) != (index_m is None):
-            raise PreconditionError("index metadata needs both k and m")
-        if index_k is not None:
-            k, m = index_k, index_m
-            if not (0 <= k <= k + m <= n):
-                raise PreconditionError("index (k, m) out of range")
-            if any(d != 1 for d in diag[:k]):
-                raise PreconditionError("index (k, m) basis needs unit leading diagonals")
-            if any(d != 1 for d in diag[k + m:]):
-                raise PreconditionError("index (k, m) basis needs unit trailing diagonals")
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "index_k", index_k)
-        object.__setattr__(self, "index_m", index_m)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermiteBasis is immutable")
@@ -283,8 +259,7 @@ class HermiteBasis:
         return hash(self.mat)
 
     def __repr__(self):
-        idx = "" if self.index_k is None else f", index=({self.index_k},{self.index_m})"
-        return f"HermiteBasis({self.mat!r}{idx})"
+        return f"HermiteBasis({self.mat!r})"
 
 
 def colmod(a: IntMat, s: DiagonalModulus) -> IntMat:
@@ -342,6 +317,11 @@ def colmod_mul(a: IntMat, b: IntMat, f: DiagonalModulus) -> IntMat:
             row[j] = sum(map(mul, arow, bcol)) % d
         out.append(row)
     return IntMat._of_rows(out, a.rows, f.dim)
+
+
+def annihilates(a: IntMat, b: IntMat, f: DiagonalModulus) -> bool:
+    """Is a*b zero column-modulo f?  `b` must be reduced column-modulo f."""
+    return not any(map(any, colmod_mul(a, b, f).data))
 
 
 def matadd(a: IntMat, b: IntMat) -> IntMat:

@@ -46,10 +46,10 @@ from .intmat import (
     InternalError,
     PreconditionError,
     SmithForm,
+    annihilates,
     colmod,
     determinant,
     invariant_checks_enabled,
-    matmul,
     require_colreduced,
 )
 
@@ -219,7 +219,7 @@ def _massager_mod(a: list[list[int]], n: int, d: int) -> tuple[list[int], list[l
     return diag, v
 
 
-def smith_massager(m: IntMat, *, det: int | None = None) -> SmithMassager:
+def smith_massager(m: IntMat) -> SmithMassager:
     """Reduced Smith massager of a nonsingular matrix.
 
     Works modulo d = |det m| throughout: d*Z^n lies inside the lattice, so
@@ -227,14 +227,11 @@ def smith_massager(m: IntMat, *, det: int | None = None) -> SmithMassager:
     multiplier is never formed.  The reduced massager colmod(V, S) is
     unchanged by the modular tracking because every invariant factor divides
     the determinant.  The invariant-factor product is checked against d.
-
-    A caller that already knows d may pass it as `det`, which must equal
-    |det m| exactly; otherwise it is computed here.
     """
     if not m.is_square():
         raise DimensionError("smith massager needs a square matrix")
     n = m.rows
-    d = abs(determinant(m)) if det is None else det
+    d = abs(determinant(m))
     if d == 0:
         raise PreconditionError("singular input to smith massager")
     if d == 1:
@@ -354,11 +351,8 @@ def _entry_massager(m: IntMat, det: int) -> SmithMassager:
     f = colmod(IntMat._of_rows(v, n, n), s)
     if prod(diag) != det:
         raise InternalError("entry massager: invariant factor product is not the determinant")
-    for j, sj in enumerate(diag):
-        if sj > 1:
-            col = f.column(j)
-            if any(sum(map(mul, row, col)) % sj for row in rows):
-                raise InternalError("entry massager: M*F is not zero column-modulo S")
+    if not annihilates(m, f, s):
+        raise InternalError("entry massager: M*F is not zero column-modulo S")
     mas = SmithMassager(s, f)
     if invariant_checks_enabled() and not verify_massager(m, mas):
         raise InternalError("entry massager failed verify_massager")
@@ -374,10 +368,7 @@ def verify_massager(m: IntMat, mas: SmithMassager) -> bool:
     """
     if m.cols != mas.f.rows:
         raise DimensionError("massager row count must match matrix dimension")
-    prod = matmul(m, mas.f)
-    for row in prod.data:
-        for x, d in zip(row, mas.s.diag):
-            if x % d != 0:
-                return False
+    if not annihilates(m, mas.f, mas.s):
+        return False
     t = structured_hermite.hermite_of_stack(mas.f, mas.s)
     return t.mat == IntMat.identity(mas.s.dim)

@@ -1,4 +1,4 @@
-"""Slow, independently coded ground truth for tests and the CLI --oracle mode.
+"""Slow, independently coded ground truth for differential tests.
 
 Nothing here shares code with the fast path beyond the IntMat carrier; that
 independence is the point.  `naive_hnf` is a classical column-by-column gcd

@@ -31,23 +31,6 @@ from .massager import _entry_massager, smith_massager
 from .structured_hermite import coprime_parts, hermite_of_stack
 
 
-def remainder_with_respect_to(f: IntMat, t: HermiteBasis) -> IntMat:
-    """Unique F + Q*T reduced column-modulo the diagonal of T."""
-    if f.cols != t.dim:
-        raise DimensionError("column count does not match the basis dimension")
-    rows = t.mat.data
-    out = []
-    for frow in f.data:
-        x = list(frow)
-        for j in range(t.dim):
-            q = x[j] // rows[j][j]
-            if q:
-                for c in range(j, t.dim):
-                    x[c] -= q * rows[j][c]
-        out.append(x)
-    return IntMat(out, f.rows, f.cols)
-
-
 def pivot_permutation(m: IntMat) -> tuple[tuple[int, ...], int]:
     """Row order placing `m.cols` independent rows of a full-column-rank
     matrix first, and the absolute determinant of that leading block.

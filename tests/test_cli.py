@@ -1,14 +1,23 @@
 import subprocess
 import sys
+from contextlib import contextmanager
+
+import pytest
 
 from hnfkit.cli import main
 from hnfkit.intmat import (
+    HermiteBasis,
     IntMat,
     format_matrix,
+    invariant_checks,
     invariant_checks_enabled,
+    lattice_contains,
+    matmul,
+    matsub,
     parse_matrix,
-    set_invariant_checks,
 )
+from hnfkit.oracle import naive_hnf
+from hnfkit.relations import relations_basis_oracle
 
 EX4_TEXT = "3 3\n1 2 3\n4 5 6\n7 8 1\n"
 
@@ -42,26 +51,22 @@ class TestHnfCommand:
         assert code == 0
         assert parse_matrix(out) == IntMat.identity(3)
 
-    def test_oracle_flag_agrees(self, tmp_path, capsys):
+    def test_agrees_with_naive_hnf(self, tmp_path, capsys):
         path = write(tmp_path, "m.mat", EX4_TEXT)
-        _, fast, _ = run_cli(["hnf", "--in", path], capsys)
-        _, slow, _ = run_cli(["hnf", "--in", path, "--oracle"], capsys)
-        assert fast == slow
+        _, out, _ = run_cli(["hnf", "--in", path], capsys)
+        assert out == format_matrix(naive_hnf(parse_matrix(EX4_TEXT)).mat)
 
     def test_debug_flag(self, tmp_path, capsys):
         path = write(tmp_path, "m.mat", EX4_TEXT)
-        try:
-            # the flag turns the checks on for the call and restores the
-            # caller's setting afterwards, whichever it was
-            for before in (True, False):
-                set_invariant_checks(before)
+        # the flag turns the checks on for the call and restores the caller's
+        # setting afterwards, whichever it was
+        for before in (True, False):
+            with invariant_checks(before):
                 code, out, _ = run_cli(["hnf", "--in", path, "--debug-invariants"],
                                        capsys)
                 assert code == 0
                 assert parse_matrix(out) == IntMat([[1, 2, 3], [0, 3, 6], [0, 0, 8]])
                 assert invariant_checks_enabled() is before
-        finally:
-            set_invariant_checks(False)
 
     def test_out_file(self, tmp_path, capsys):
         path = write(tmp_path, "m.mat", EX4_TEXT)
@@ -76,6 +81,63 @@ class TestHnfCommand:
         code, out, err = run_cli(["hnf", "--in", path, "--seed", "7"], capsys)
         assert code == 3 and out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_oracle_flag(self, tmp_path, capsys):
+        # the naive oracle is a library for the tests, not a CLI mode
+        m = write(tmp_path, "m.mat", EX4_TEXT)
+        d = write(tmp_path, "d.mat", "3 3\n2 0 0\n0 3 0\n0 0 5\n")
+        b = write(tmp_path, "b.mat", "1 3\n1 2 3\n")
+        for args in (["hnf", "--in", m], ["massager", "--in", m],
+                     ["relbasis", "--mod", m, "--in", m], ["howell", "4", "--in", m],
+                     ["remainder", "--mod", d, "--in", m],
+                     ["product-hnf", "--in", m, "--in", m],
+                     ["intersect", "--in", m, "--in", m],
+                     ["crt", "--mod", d, "--in", m, "--rhs", b], ["verify", "--in", d]):
+            assert run_cli(args, capsys)[0] == 0
+            code, out, err = run_cli(args + ["--oracle"], capsys)
+            assert code == 3 and out == ""
+            assert err.startswith("input error: ") and err.count("\n") == 1
+            assert "--oracle" in err
+
+
+@contextmanager
+def no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int/str digit limit")
+class TestDigitLimit:
+    """Entries beyond CPython's default 4300-digit int/str conversion limit."""
+
+    def check_hnf(self, tmp_path, capsys, text):
+        caller_limit = sys.get_int_max_str_digits()
+        path = write(tmp_path, "big.mat", text)
+        code, out, err = run_cli(["hnf", "--in", path], capsys)
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == caller_limit
+        with no_digit_limit():
+            assert out == format_matrix(naive_hnf(parse_matrix(text)).mat)
+
+    def test_long_input_entry(self, tmp_path, capsys):
+        self.check_hnf(tmp_path, capsys, "1 1\n-" + "3" * 4301 + "\n")
+
+    def test_long_output_entry(self, tmp_path, capsys):
+        # short enough to parse, but the determinant has 5000 digits
+        text = f"2 2\n{'9' * 2500} 0\n1 {'7' * 2500}\n"
+        self.check_hnf(tmp_path, capsys, text)
+
+    def test_limit_restored_after_an_error(self, tmp_path, capsys):
+        caller_limit = sys.get_int_max_str_digits()
+        path = write(tmp_path, "bad.mat", "1 2\n" + "5" * 5000 + "\n")
+        code, _, err = run_cli(["hnf", "--in", path], capsys)
+        assert code == 3 and err.startswith("input error: ")
+        assert sys.get_int_max_str_digits() == caller_limit
 
 
 class TestExitCodes:
@@ -148,9 +210,8 @@ class TestRelbasisCommand:
         code, out, _ = run_cli(["relbasis", "--mod", mod, "--in", f], capsys)
         assert code == 0
         assert parse_matrix(out) == IntMat([[1, 2, 3], [0, 3, 6], [0, 0, 8]])
-        code, out2, _ = run_cli(["relbasis", "--mod", mod, "--in", f, "--oracle"],
-                                capsys)
-        assert code == 0 and out2 == out
+        expect = relations_basis_oracle(IntMat([[24]]), IntMat([[19], [10], [3]]))
+        assert parse_matrix(out) == expect.mat
 
 
 class TestHowellCommand:
@@ -171,9 +232,10 @@ class TestRemainderCommand:
         assert code == 0
         fbar = parse_matrix(out)
         assert 0 <= fbar[0, 0] < 2 and 0 <= fbar[0, 1] < 3
-        code, out2, _ = run_cli(["remainder", "--mod", mod, "--in", f, "--oracle"],
-                                capsys)
-        assert out2 == out
+        # F - Fbar lies in L(T)
+        t = HermiteBasis(IntMat([[2, 1], [0, 3]]))
+        diff = matsub(IntMat([[7, 9]]), fbar)
+        assert lattice_contains(t, diff.row(0))
 
 
 class TestProductAndIntersect:
@@ -182,8 +244,6 @@ class TestProductAndIntersect:
         b = write(tmp_path, "b.mat", "2 2\n1 1\n0 2\n")
         code, out, _ = run_cli(["product-hnf", "--in", a, "--in", b], capsys)
         assert code == 0
-        from hnfkit.oracle import naive_hnf
-        from hnfkit.intmat import matmul
         expect = naive_hnf(matmul(parse_matrix(open(a).read()),
                                   parse_matrix(open(b).read())))
         assert parse_matrix(out) == expect.mat

@@ -12,6 +12,7 @@ from hnfkit.intmat import (
     ParseError,
     PreconditionError,
     SmithForm,
+    annihilates,
     colmod,
     colmod_mul,
     determinant,
@@ -26,7 +27,6 @@ from hnfkit.intmat import (
     matsub,
     parse_matrix,
     rowmod,
-    set_invariant_checks,
     vstack,
 )
 from .conftest import assert_trusted, rand_mat
@@ -137,6 +137,30 @@ class TestColmodMul:
     def test_inner_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             colmod_mul(IntMat([[1, 2]]), IntMat([[1]]), DiagonalModulus([3]))
+
+
+class TestAnnihilates:
+    # EX4 * (19, 10, 3) == (48, 144, 216), zero modulo 24
+    F = IntMat([[0, 19], [0, 10], [0, 3]])
+    S = DiagonalModulus([1, 24])
+
+    def test_unit_modulus_column(self):
+        assert annihilates(EX4, self.F, self.S)
+        assert annihilates(EX4, IntMat.zeros(3, 2), DiagonalModulus([1, 1]))
+
+    def test_single_wrong_entry(self):
+        for i in range(3):
+            rows = self.F.to_rows()
+            rows[i][1] += 1
+            assert not annihilates(EX4, IntMat(rows), self.S)
+            rows = EX4.to_rows()
+            rows[i][2] += 1
+            assert not annihilates(IntMat(rows), self.F, self.S)
+
+    def test_empty_shapes(self):
+        assert annihilates(IntMat([], 0, 3), self.F, self.S)
+        assert annihilates(EX4, IntMat([[], [], []], 3, 0), DiagonalModulus([]))
+        assert annihilates(IntMat([], 2, 0), IntMat([], 0, 2), self.S)
 
 
 class TestTrustedResults:
@@ -272,11 +296,10 @@ class TestHermiteBasisType:
                                match="^Hermite basis needs positive diagonal entries$"):
                 HermiteBasis(bad)
 
-    def test_index_metadata(self):
-        h = HermiteBasis(IntMat([[1, 0, 3], [0, 1, 6], [0, 0, 8]]), index_k=2, index_m=1)
-        assert (h.index_k, h.index_m) == (2, 1)
-        with pytest.raises(PreconditionError):
-            HermiteBasis(IntMat([[2, 0], [0, 1]]), index_k=1, index_m=1)
+    def test_index_keywords_rejected(self):
+        # the basis carries no band metadata
+        with pytest.raises(TypeError):
+            HermiteBasis(IntMat([[1, 0, 3], [0, 1, 6], [0, 0, 8]]), index_k=2, index_m=1)
 
 
 class TestSmithFormType:
@@ -347,5 +370,12 @@ class TestInvariantChecks:
 
     def test_setting_stays_in_its_context(self):
         # a setting made inside a copied context does not leak into the caller
-        contextvars.copy_context().run(set_invariant_checks, True)
-        assert invariant_checks_enabled() is False
+        ctx = contextvars.copy_context()
+        block = invariant_checks(True)
+        ctx.run(block.__enter__)
+        try:
+            assert invariant_checks_enabled() is False
+            assert ctx.run(invariant_checks_enabled) is True
+        finally:
+            ctx.run(block.__exit__, None, None, None)
+        assert ctx.run(invariant_checks_enabled) is False

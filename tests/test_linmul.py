@@ -108,15 +108,15 @@ class TestTallSquare:
 # explicit raise to catch a wrong product.
 _WRONG_PRODUCT_SCRIPT = """
 from hnfkit import linmul
-from hnfkit.intmat import DiagonalModulus, IntMat, InternalError, set_invariant_checks
+from hnfkit.intmat import DiagonalModulus, IntMat, InternalError, invariant_checks
 
 assert False, "assertions must be stripped"
-set_invariant_checks(True)
 linmul._tall_square = lambda a, e, b, f: IntMat.zeros(a.rows, f.dim)
 e = DiagonalModulus([4, 2])
 f = DiagonalModulus([4, 4])
 try:
-    linmul.colmod_mul_tall_square(IntMat([[3, 1], [2, 0]]), e, IntMat([[1, 1], [0, 1]]), f)
+    with invariant_checks(True):
+        linmul.colmod_mul_tall_square(IntMat([[3, 1], [2, 0]]), e, IntMat([[1, 1], [0, 1]]), f)
 except InternalError as exc:
     print("raised:", exc)
 """

@@ -8,10 +8,10 @@ from hnfkit.intmat import (
     SmithForm,
     colmod,
     hstack,
+    invariant_checks,
     matadd,
     matmul,
     matsub,
-    set_invariant_checks,
     vstack,
 )
 from hnfkit.oracle import naive_hnf
@@ -69,15 +69,12 @@ class TestHermiteOfStack:
                 mbar -= m1
 
     def test_runtime_invariants_enabled(self, rng):
-        set_invariant_checks(True)
-        try:
+        with invariant_checks(True):
             for _ in range(10):
                 m = rng.randint(1, 4)
                 s = rand_smith(rng, m)
                 a = rand_reduced(rng, rng.randint(0, 3), s)
                 hermite_of_stack(a, s)
-        finally:
-            set_invariant_checks(False)
 
 
 class TestCoprimeParts:
@@ -134,12 +131,9 @@ class TestCoprimeParts:
     def test_wrong_t_detected_in_debug_mode(self):
         # a T strictly larger than the stack lattice needs the full recheck
         bad = HermiteBasis(IntMat.identity(3))
-        set_invariant_checks(True)
-        try:
+        with invariant_checks(True):
             with pytest.raises(PreconditionError):
                 coprime_parts(bad, WORKED_A, WORKED_S)
-        finally:
-            set_invariant_checks(False)
 
 
 class TestStageTransform:
