@@ -96,5 +96,5 @@ def multivariable_crt(m: DiagonalModulus, a: IntMat, b: IntMat
     h = relations_hermite_basis(m.as_matrix(), g)
     hval = h.mat[0, 0]
     x_p = h.mat.submatrix(0, 1, 1, n + 1)
-    hbar = HermiteBasis(h.mat.submatrix(1, n + 1, 1, n + 1))
+    hbar = HermiteBasis._trusted(h.mat.submatrix(1, n + 1, 1, n + 1))
     return hval, x_p, hbar

@@ -18,13 +18,13 @@ from .hermite_basis import relations_hermite_basis
 from .howell import hermite_via_howell, howell_form
 from .intmat import (
     DiagonalModulus,
+    DimensionError,
     HermiteBasis,
     IntMat,
     InternalError,
     ParseError,
     PreconditionError,
     annihilates,
-    colmod,
     format_matrix,
     invariant_checks,
     invariant_checks_enabled,
@@ -167,7 +167,11 @@ def _run(args) -> int:
             h = HermiteBasis(_read(args.inputs[0]))   # raises unless valid
             if len(args.inputs) == 3:
                 s = _diag_modulus(_read(args.inputs[1]))
-                f = colmod(_read(args.inputs[2]), s)   # raises unless S is nonsingular
+                f = _read(args.inputs[2])
+                if f.rows != h.dim or f.cols != s.dim:
+                    raise DimensionError(f"F is {f.rows}x{f.cols}, but H and S "
+                                         f"need it {h.dim}x{s.dim}")
+                # raises unless S is nonsingular
                 if not annihilates(h.mat, f, s):
                     raise PreconditionError("claimed basis does not annihilate F modulo S")
                 # L(H) lies inside the relations lattice, whose index is

@@ -62,15 +62,9 @@ def base_case(s: int, f: IntMat, k: int) -> HermiteBasis:
     The only nontrivial column has diagonal s; the entries above it are the
     unique residues c with c*F[k] == -F[i] (mod s).  Requires F[k] to be a
     unit modulo s and F zero below row k, both consequences of the claimed
-    index; violations raise.
+    index; violations raise.  The shapes are those `HBCall` checked.
     """
-    if f.cols != 1:
-        raise DimensionError("base case needs a single column")
     n = f.rows
-    if not 0 <= k <= n - 1:
-        raise PreconditionError("band index out of range")
-    if s < 1:
-        raise PreconditionError("modulus must be positive")
     col = [row[0] % s for row in f.data]
     for i in range(k + 1, n):
         if col[i] != 0:
@@ -83,7 +77,7 @@ def base_case(s: int, f: IntMat, k: int) -> HermiteBasis:
     rows[k][k] = s
     for i in range(k):
         rows[i][k] = (-col[i] * inv) % s
-    return HermiteBasis(IntMat._of_rows(rows, n, n))
+    return HermiteBasis._trusted(IntMat._of_rows(rows, n, n))
 
 
 def _overlay(h2: HermiteBasis, h1: HermiteBasis, k: int, m1: int, m2: int) -> HermiteBasis:
@@ -98,7 +92,7 @@ def _overlay(h2: HermiteBasis, h1: HermiteBasis, k: int, m1: int, m2: int) -> He
     top = h2.mat.data[:band]
     rows = [r2[:k] + r1[k:band] + r2[band:] for r2, r1 in zip(top, h1.mat.data)]
     rows.extend(list(r2) for r2 in h2.mat.data[band:])
-    out = HermiteBasis(IntMat._of_rows(rows, n, n))
+    out = HermiteBasis._trusted(IntMat._of_rows(rows, n, n))
     if invariant_checks_enabled() and out.mat != matmul(h2.mat, h1.mat):
         raise InternalError("block overlay differs from the product H2*H1")
     return out
@@ -114,7 +108,7 @@ def hermite_basis(call: HBCall, trace: TraceFn | None = None) -> HermiteBasis:
     s, f, k, m = call.s, call.f, call.k, call.m
     n = f.rows
     if m == 0:
-        return HermiteBasis(IntMat.identity(n))
+        return HermiteBasis._trusted(IntMat.identity(n))
     if m == 1:
         h = base_case(s.diag[0], f, k)
         if trace is not None:
@@ -186,5 +180,5 @@ def relations_hermite_basis(m: IntMat, g: IntMat, *,
     else:
         pad = band - s.dim
         s_band = SmithForm((1,) * pad + s.diag)
-        f_band = IntMat([[0] * pad + list(row) for row in f.data], n, band)
+        f_band = IntMat._of_rows([[0] * pad + list(row) for row in f.data], n, band)
     return hermite_basis(HBCall(s_band, f_band, k, band), trace)

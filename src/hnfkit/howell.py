@@ -48,7 +48,8 @@ def _row_scale(row: list[int], c: int, n: int) -> list[int]:
 def howell_form(a: IntMat, n: int) -> HowellResult:
     """Canonical Howell form of `a` over Z/(N) together with its transform."""
     h, u = _howell(a, n, transform=True)
-    return HowellResult(IntMat(h, len(h), a.cols), IntMat(u, len(h), a.rows), n)
+    return HowellResult(IntMat._of_rows(h, len(h), a.cols),
+                        IntMat._of_rows(u, len(h), a.rows), n)
 
 
 def _howell(a: IntMat, n: int, transform: bool):
@@ -144,7 +145,7 @@ def hermite_via_howell(a: IntMat, s: int) -> HermiteBasis:
         raise PreconditionError("s must be positive")
     if s == 1:
         # I is contained in L(a), so the basis is the identity outright
-        return HermiteBasis(IntMat.identity(a.cols))
+        return HermiteBasis._trusted(IntMat.identity(a.cols))
     rows, _ = _howell(a, s * s, transform=False)
     if len(rows) != a.cols:
         raise PreconditionError(
@@ -166,16 +167,16 @@ def hermite_with_eliminator(s: SmithForm, a: IntMat) -> tuple[HermiteBasis, IntM
     if a.cols != m:
         raise DimensionError("column count does not match the modulus dimension")
     sval = s.largest
-    ared = IntMat([[x % sval for x in row] for row in a.data], a.rows, a.cols)
+    ared = IntMat._of_rows([[x % sval for x in row] for row in a.data], a.rows, a.cols)
     if sval == 1:
-        return HermiteBasis(IntMat.identity(m)), IntMat.zeros(m, a.rows)
+        return HermiteBasis._trusted(IntMat.identity(m)), IntMat.zeros(m, a.rows)
     stack = vstack(s.as_matrix(), ared)
     res = howell_form(stack, sval * sval)
     if res.h.rows != m:
         raise PreconditionError("stack over a nonsingular Smith form must have full rank")
     t = HermiteBasis(res.h)
-    e = IntMat([[res.u[i, m + j] % sval for j in range(a.rows)] for i in range(m)],
-               m, a.rows)
+    e = IntMat._of_rows([[res.u[i, m + j] % sval for j in range(a.rows)] for i in range(m)],
+                        m, a.rows)
     _check_eliminator(t, e, ared, s)
     return t, e
 

@@ -6,9 +6,11 @@ operations here are built by the trusted `IntMat._of_rows`, because their
 shape holds by construction.  Diagonal moduli get their own small types
 (`DiagonalModulus`, `SmithForm`) so that column/row reduction and
 divisibility-chain invariants are checked at construction time.
-`HermiteBasis` wraps a matrix that has been verified to satisfy the Hermite
-invariants (upper triangular, positive diagonal, off-diagonal entries
-reduced below the column diagonal).
+`HermiteBasis` wraps a matrix that satisfies the Hermite invariants (upper
+triangular, positive diagonal, off-diagonal entries reduced below the column
+diagonal).  Its public constructor verifies them; `HermiteBasis._trusted`
+builds internal results that are Hermite by construction and re-checks them
+only under `invariant_checks(True)`.
 
 Residues are always taken in [0, d), i.e. the mathematical mod, never the
 sign-following remainder.
@@ -239,6 +241,16 @@ class HermiteBasis:
                 raise PreconditionError("off-diagonal entry not reduced below its column diagonal")
         object.__setattr__(self, "mat", mat)
 
+    @classmethod
+    def _trusted(cls, mat: IntMat) -> "HermiteBasis":
+        """Trusted constructor for a matrix in Hermite form by construction:
+        the full check runs only under `invariant_checks(True)`."""
+        if _INVARIANT_CHECKS.get():
+            return cls(mat)
+        self = object.__new__(cls)
+        object.__setattr__(self, "mat", mat)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("HermiteBasis is immutable")
 
@@ -304,11 +316,14 @@ def matmul(a: IntMat, b: IntMat) -> IntMat:
 
 
 def colmod_mul(a: IntMat, b: IntMat, f: DiagonalModulus) -> IntMat:
-    """colmod(a*b, f) for any `a` and `b` reduced column-modulo f; a column
-    whose modulus is 1 is zero by definition and is never multiplied out."""
+    """colmod(a*b, f) for any integer `a` and `b`: each live column of the
+    product is reduced exactly, so `b` need not be reduced.  A column whose
+    modulus is 1 is zero by definition and is never multiplied out."""
     if a.cols != b.rows:
         raise DimensionError(f"colmod_mul: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    require_colreduced(b, f, "right factor")
+    if b.cols != f.dim:
+        raise DimensionError(f"colmod_mul: {b.cols} columns vs modulus of dimension {f.dim}")
+    f.require_nonsingular()
     live = [(j, d, b.column(j)) for j, d in enumerate(f.diag) if d != 1]
     out = []
     for arow in a.data:
@@ -320,7 +335,7 @@ def colmod_mul(a: IntMat, b: IntMat, f: DiagonalModulus) -> IntMat:
 
 
 def annihilates(a: IntMat, b: IntMat, f: DiagonalModulus) -> bool:
-    """Is a*b zero column-modulo f?  `b` must be reduced column-modulo f."""
+    """Is a*b zero column-modulo f?  Exact for any integer `a` and `b`."""
     return not any(map(any, colmod_mul(a, b, f).data))
 
 
@@ -365,38 +380,54 @@ def vstack(*mats: IntMat) -> IntMat:
                            sum(m.rows for m in mats), cols)
 
 
+def _bareiss(m: IntMat) -> tuple[tuple[int, ...], int] | None:
+    """Fraction-free (Bareiss) elimination of m (m.rows >= m.cols) over all
+    rows; each column's pivot is the first remaining row nonzero there.
+
+    Returns the row order (pivot rows as picked, then the rest in their
+    original order) and the last pivot: the determinant of the leading
+    m.cols rows in that order, 1 with no columns.  None when a column has no
+    pivot."""
+    work = [list(row) for row in m.data]
+    remaining = list(range(m.rows))
+    selected = []
+    prev = 1
+    for col in range(m.cols):
+        for pick in remaining:
+            if work[pick][col] != 0:
+                break
+        else:
+            return None
+        selected.append(pick)
+        remaining.remove(pick)
+        pr = work[pick]
+        for i in remaining:
+            ri = work[i]
+            fct = ri[col]
+            for j in range(col + 1, m.cols):
+                ri[j] = (ri[j] * pr[col] - fct * pr[j]) // prev
+            ri[col] = 0
+        prev = pr[col]
+    return tuple(selected + remaining), prev
+
+
 def determinant(a: IntMat) -> int:
     """Exact determinant: the diagonal product for an upper-triangular input,
-    otherwise Bareiss fraction-free elimination."""
+    otherwise the sign of the pivot order times the last pivot of `_bareiss`,
+    or 0 when a column has no pivot."""
     if not a.is_square():
         raise DimensionError("determinant of a non-square matrix")
     n = a.rows
-    if n == 0:
-        return 1
     # the scan stops at the first row with a nonzero entry left of the diagonal
     rows = a.data
     if not any(any(rows[i][:i]) for i in range(1, n)):
         return prod(rows[i][i] for i in range(n))
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - mik * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    res = _bareiss(a)
+    if res is None:
+        return 0
+    order, last = res
+    inversions = sum(x > y for i, x in enumerate(order) for y in order[i + 1:])
+    return -last if inversions % 2 else last
 
 
 def lattice_contains(h: HermiteBasis, v: Sequence[int]) -> bool:

@@ -23,6 +23,7 @@ from .intmat import (
     InternalError,
     PreconditionError,
     SmithForm,
+    _bareiss,
     colmod_mul,
     hstack,
     vstack,
@@ -35,39 +36,19 @@ def pivot_permutation(m: IntMat) -> tuple[tuple[int, ...], int]:
     """Row order placing `m.cols` independent rows of a full-column-rank
     matrix first, and the absolute determinant of that leading block.
 
-    One fraction-free (Bareiss) elimination over all rows, with row pivoting:
-    each column's pivot is the first remaining row whose eliminated entry
-    there is nonzero.  The chosen rows come first in the order they were
-    picked, the others follow in their original order, and the last pivot is
-    the block's determinant up to sign (1 for a matrix with no columns).  A
-    column without a pivot means rank deficiency and raises
-    PreconditionError.
+    One fraction-free elimination over all rows, `intmat._bareiss`: each
+    column's pivot is the first remaining row whose eliminated entry there
+    is nonzero.  The chosen rows come first in the order they were picked,
+    the others follow in their original order.  A column without a pivot
+    means rank deficiency and raises PreconditionError.
     """
     if m.cols > m.rows:
         raise PreconditionError("more columns than rows: cannot have full column rank")
-    work = [list(row) for row in m.data]
-    remaining = list(range(m.rows))
-    selected = []
-    prev = 1
-    for col in range(m.cols):
-        pick = None
-        for i in remaining:
-            if work[i][col] != 0:
-                pick = i
-                break
-        if pick is None:
-            raise PreconditionError("modulus does not have full column rank")
-        selected.append(pick)
-        remaining.remove(pick)
-        pr = work[pick]
-        for i in remaining:
-            ri = work[i]
-            fct = ri[col]
-            for j in range(col + 1, m.cols):
-                ri[j] = (ri[j] * pr[col] - fct * pr[j]) // prev
-            ri[col] = 0
-        prev = pr[col]
-    return tuple(selected + remaining), abs(prev)
+    res = _bareiss(m)
+    if res is None:
+        raise PreconditionError("modulus does not have full column rank")
+    order, last = res
+    return order, abs(last)
 
 
 def apply_row_order(m: IntMat, order: tuple[int, ...]) -> IntMat:

@@ -22,14 +22,12 @@ from dataclasses import dataclass
 
 from .howell import hermite_via_howell, hermite_with_eliminator
 from .intmat import (
-    DiagonalModulus,
     DimensionError,
     HermiteBasis,
     IntMat,
     InternalError,
     PreconditionError,
     SmithForm,
-    colmod,
     colmod_mul,
     hstack,
     invariant_checks_enabled,
@@ -43,19 +41,19 @@ from .intmat import (
 
 @dataclass(frozen=True)
 class StageTransform:
-    """Blocks of one stage's unimodular transform, entries in [0, s].
+    """Blocks of one stage's unimodular transform.
 
     e eliminates the slice into its Hermite block; q, c, k push the
     elimination through the rows above, beside, and below.  The starred
     blocks completing the unimodular matrix exist but are never computed;
-    tests reconstruct them by exact division.
+    tests reconstruct them by exact division.  No entry bound is kept: the
+    blocks are only ever multiplied exactly by `colmod_mul`.
     """
 
     e: IntMat
     q: IntMat
     c: IntMat
     k: HermiteBasis
-    s: int
 
 
 def structured_hermite_blocks(f: IntMat, t: HermiteBasis, a: IntMat,
@@ -77,12 +75,6 @@ def structured_hermite_blocks(f: IntMat, t: HermiteBasis, a: IntMat,
     if t.dim != m or f.cols != m or a.cols != m:
         raise DimensionError("block computation needs matching column dimensions")
     sval = s.largest
-    if sval == 1:
-        # S is the identity, so L(S) lies in L(T) only when T is the identity
-        if t.mat != IntMat.identity(m):
-            raise PreconditionError("L(S) is not contained in L(T)")
-        return (IntMat.zeros(f.rows, m), IntMat.zeros(f.rows, m),
-                IntMat.zeros(a.rows, m), IntMat.identity(m))
     t_rows = t.mat.data
     unit_m = _unit_rows(m)
     zero_m = (0,) * m
@@ -150,18 +142,16 @@ def stage_transform(f1: IntMat, a1: IntMat, s1: SmithForm
     the slice's largest invariant factor is 1 the stage is a no-op with an
     identity block and zero transforms.
     """
-    require_colreduced(f1, s1, "upper slice")
-    require_colreduced(a1, s1, "lower slice")
     m1 = s1.dim
-    sval = s1.largest
-    if sval == 1:
-        ident = HermiteBasis(IntMat.identity(m1))
+    if s1.largest == 1:
+        ident = HermiteBasis._trusted(IntMat.identity(m1))
         tr = StageTransform(IntMat.zeros(m1, a1.rows), IntMat.zeros(f1.rows, m1),
-                            IntMat.zeros(a1.rows, m1), ident, 1)
+                            IntMat.zeros(a1.rows, m1), ident)
         return tr, IntMat.zeros(f1.rows, m1), ident
     t1, e = hermite_with_eliminator(s1, a1)
     g1, q, c, k = structured_hermite_blocks(f1, t1, a1, s1)
-    tr = StageTransform(e, q, c, HermiteBasis(k), sval)
+    # K is the trailing block of a verified Hermite lift
+    tr = StageTransform(e, q, c, HermiteBasis._trusted(k))
     if invariant_checks_enabled():
         verify_stage_identity(tr, g1, t1, f1, a1, s1)
     return tr, g1, t1
@@ -177,7 +167,7 @@ def _exact_div_cols(num: IntMat, s: SmithForm, context: str) -> IntMat:
                 raise PreconditionError(f"stage identity failed ({context}): inexact division")
             new.append(q)
         out.append(new)
-    return IntMat(out, num.rows, num.cols)
+    return IntMat._of_rows(out, num.rows, num.cols)
 
 
 def verify_stage_identity(tr: StageTransform, g1: IntMat, t1: HermiteBasis,
@@ -205,12 +195,11 @@ def stage_apply(tr: StageTransform, f2: IntMat, a2: IntMat, s2: SmithForm
     """Push one stage's transform through the trailing columns.
 
     Returns ([F2 + Q*B; B], [A2 + C*B; K*B]) with B = E*A2, each reduced
-    column-modulo S2.  The transform blocks must stay below 2s.
+    column-modulo S2.  Every product is one exact `colmod_mul`, so the
+    transform blocks need no bound.
     """
     if f2.cols != s2.dim or a2.cols != s2.dim:
         raise DimensionError("trailing slice does not match its modulus")
-    for blk in (tr.e, tr.q, tr.c, tr.k.mat):
-        require_colreduced(blk, DiagonalModulus((2 * tr.s,) * blk.cols), "stage transform")
     b = colmod_mul(tr.e, a2, s2)
     new_f = vstack(_add_mod(f2, colmod_mul(tr.q, b, s2), s2), b)
     new_a = vstack(_add_mod(a2, colmod_mul(tr.c, b, s2), s2), colmod_mul(tr.k.mat, b, s2))
@@ -243,8 +232,6 @@ def hermite_of_stack(a: IntMat, s: SmithForm) -> HermiteBasis:
     """
     require_colreduced(a, s, "stack block")
     m = s.dim
-    if m == 0:
-        return HermiteBasis(IntMat.identity(0))
     done_rows: list[list[int]] = []   # finished T rows; width grows to m
     fbar = IntMat.zeros(0, m)
     abar = a
@@ -269,7 +256,7 @@ def hermite_of_stack(a: IntMat, s: SmithForm) -> HermiteBasis:
         fbar, abar = stage_apply(tr, f2, a2, s2)
         sbar = s2
         d += m1
-    return HermiteBasis(IntMat(done_rows, m, m))
+    return HermiteBasis(IntMat._of_rows(done_rows, m, m))
 
 
 def coprime_parts(t: HermiteBasis, a: IntMat, s: SmithForm
@@ -291,8 +278,6 @@ def coprime_parts(t: HermiteBasis, a: IntMat, s: SmithForm
     if invariant_checks_enabled():
         if t != hermite_of_stack(a, s):
             raise PreconditionError("T is not the Hermite basis of the stack")
-    if m == 0:
-        return IntMat.zeros(n, 0), HermiteBasis(IntMat.identity(0))
     c_cols: list[IntMat] = []
     k_grid = [[0] * m for _ in range(m)]
     abar = a
@@ -307,9 +292,9 @@ def coprime_parts(t: HermiteBasis, a: IntMat, s: SmithForm
             _check_stage_bound(s, s1.largest, mbar)
         a1 = abar.submatrix(0, abar.rows, 0, m1)
         a2 = abar.submatrix(0, abar.rows, m1, mbar)
-        t1 = HermiteBasis(t.mat.submatrix(d, d + m1, d, d + m1))
-        sval = s1.largest
-        if sval == 1:
+        # a diagonal block of a Hermite basis is one
+        t1 = HermiteBasis._trusted(t.mat.submatrix(d, d + m1, d, d + m1))
+        if s1.largest == 1:
             cst = IntMat.zeros(abar.rows, m1)
             kst = IntMat.identity(m1)
         else:
@@ -320,16 +305,14 @@ def coprime_parts(t: HermiteBasis, a: IntMat, s: SmithForm
         for i in range(m1):
             k_grid[d + i][d:d + m1] = list(kst.row(i))
         # residual of the fixed T rows against the trailing slice
-        tgam = colmod(t.mat.submatrix(d, d + m1, d + m1, d + mbar), s2)
-        ck = vstack(cst, kst)
-        require_colreduced(ck, DiagonalModulus((2 * sval,) * m1), "coprime blocks")
-        prod = colmod_mul(ck, tgam, s2)
+        tgam = t.mat.submatrix(d, d + m1, d + m1, d + mbar)
+        prod = colmod_mul(vstack(cst, kst), tgam, s2)
         new_top = _add_mod(a2, prod.submatrix(0, abar.rows, 0, m2), s2)
         abar = vstack(new_top, prod.submatrix(abar.rows, abar.rows + m1, 0, m2))
         sbar = s2
         d += m1
     c = hstack(*c_cols) if c_cols else IntMat.zeros(n, 0)
-    k = HermiteBasis(IntMat(k_grid, m, m))
+    k = HermiteBasis(IntMat._of_rows(k_grid, m, m))
     if t.determinant() * k.determinant() != s.determinant():
         raise PreconditionError("determinant identity det(T)*det(K) == det(S) failed")
     for j in range(m):

@@ -294,6 +294,16 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "--in", sub, "--in", s, "--in", f], capsys)
         assert code == 2
 
+    def test_mis_shaped_f_named(self, tmp_path, capsys):
+        h = write(tmp_path, "h.mat", "3 3\n1 2 3\n0 3 6\n0 0 8\n")
+        s = write(tmp_path, "s.mat", "1 1\n24\n")
+        # F with one row too many, then one column too many
+        for text in ("4 1\n19\n10\n3\n1\n", "3 2\n19 0\n10 0\n3 0\n"):
+            f = write(tmp_path, "f.mat", text)
+            code, out, err = run_cli(["verify", "--in", h, "--in", s, "--in", f], capsys)
+            assert code == 2 and out == ""
+            assert err.endswith(", but H and S need it 3x1\n")
+
 
 def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "hnfkit.cli", "--help"],

@@ -128,15 +128,24 @@ class TestColmodMul:
                           DiagonalModulus([])) == IntMat([[]], 1, 0)
         assert colmod_mul(IntMat([], 2, 0), IntMat([], 0, 3), f) == IntMat.zeros(2, 3)
 
-    def test_unreduced_right_factor_rejected(self):
-        f = DiagonalModulus([5, 3])
-        for b in (IntMat([[5, 0]]), IntMat([[0, -1]])):
-            with pytest.raises(PreconditionError):
-                colmod_mul(IntMat([[1]]), b, f)
+    def test_unreduced_and_negative_right_factors(self, rng):
+        # colmod(a*b, f) is exact for any integer b, so b need not be reduced
+        a = IntMat([[2], [-3]])
+        f = DiagonalModulus([5, 3, 1])
+        for b in (IntMat([[5, 0, 7]]), IntMat([[0, -1, -4]])):
+            assert colmod_mul(a, b, f) == colmod(matmul(a, b), f)
+        for _ in range(40):
+            n, k = rng.randint(1, 4), rng.randint(1, 4)
+            g = DiagonalModulus([rng.choice((1, 2, 12, 2**70 + 1)) for _ in range(3)])
+            a = rand_mat(rng, n, k, -2**80, 2**80)
+            b = rand_mat(rng, k, 3, -2**90, 2**90)
+            assert colmod_mul(a, b, g) == colmod(matmul(a, b), g)
 
     def test_inner_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             colmod_mul(IntMat([[1, 2]]), IntMat([[1]]), DiagonalModulus([3]))
+        with pytest.raises(DimensionError):
+            colmod_mul(IntMat([[1]]), IntMat([[1, 2]]), DiagonalModulus([3]))
 
 
 class TestAnnihilates:
@@ -223,6 +232,16 @@ class TestDeterminant:
     def test_repeated_row(self):
         assert determinant(IntMat([[1, 2], [1, 2]])) == 0
 
+    def test_row_swap_sign(self):
+        assert determinant(IntMat([[0, 1], [1, 0]])) == -1
+
+    def test_singular_with_pivotless_later_column(self):
+        # the first column has a pivot; a later one has none, before or
+        # after elimination
+        for rows in ([[1, 2, 0], [3, 4, 0], [5, 6, 0]],
+                     [[1, 2, 3], [2, 4, 5], [3, 6, 7]]):
+            assert determinant(IntMat(rows)) == 0
+
     def test_multiplicative(self, rng):
         for _ in range(20):
             n = rng.randint(1, 6)
@@ -295,6 +314,14 @@ class TestHermiteBasisType:
             with pytest.raises(PreconditionError,
                                match="^Hermite basis needs positive diagonal entries$"):
                 HermiteBasis(bad)
+
+    def test_trusted_checks_only_under_invariant_checks(self):
+        bad = IntMat([[1, 5], [0, 3]])
+        assert HermiteBasis._trusted(bad).mat == bad
+        with invariant_checks(True):
+            with pytest.raises(PreconditionError):
+                HermiteBasis._trusted(bad)
+            assert HermiteBasis._trusted(EX4_HNF) == HermiteBasis(EX4_HNF)
 
     def test_index_keywords_rejected(self):
         # the basis carries no band metadata

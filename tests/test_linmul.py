@@ -14,7 +14,6 @@ from hnfkit.intmat import (
     rowmod,
 )
 from hnfkit.linmul import (
-    XadicPlan,
     choose_radix,
     colmod_mul_hermite,
     colmod_mul_signed,
