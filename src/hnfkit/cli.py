@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from math import lcm
 
 from . import apps
@@ -77,7 +78,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     top = _Parser(prog="hnfkit", description="Hermite bases of integer relations lattices")
     sub = top.add_subparsers(dest="command", required=True)
 

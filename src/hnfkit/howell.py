@@ -4,9 +4,9 @@ The Howell form is the canonical echelon form over Z/(N): pivots divide N,
 entries above a pivot are reduced modulo that pivot, and stabilizer rows are
 inserted so the form spans every span element with a given leading-zero
 prefix.  For a full column rank A with s*I contained in L(A), the canonical
-lift of the Howell form over Z/(s^2) is the Hermite form of A over Z, which
-is how all the structured Hermite computations in this package work modulo a
-single invariant factor instead of a determinant.
+lift of the Howell form over Z/(s^2) is the Hermite form of A over Z.  The
+stage eliminator of `hermite_of_stack` and the index check of `hnfkit verify`
+work that way, modulo a single invariant factor instead of a determinant.
 """
 
 from __future__ import annotations

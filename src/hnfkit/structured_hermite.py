@@ -8,19 +8,25 @@ reduced A:
   [I -A*T^{-1}; 0 S*T^{-1}], without ever forming T^{-1}, so the relations
   lattice of (S, A) equals that of (K, C) with coprime inputs.
 
-Both run the same staged slicing driver: each stage fixes the leading half of
-the columns not yet in Hermite form by solving a small Hermite problem modulo
-the largest invariant factor of that slice, then pushes the transform through
-the trailing columns with plain column-modulo products (`colmod_mul`).
+`hermite_of_stack` runs a staged slicing driver: each stage fixes the leading
+half of the columns not yet in Hermite form by solving a small Hermite problem
+modulo the largest invariant factor of that slice, then pushes the transform
+through the trailing columns with plain column-modulo products (`colmod_mul`).
 Halving the slice each stage keeps every stage's scalar modulus near the
 average invariant-factor bitlength instead of the largest one.
+
+`coprime_parts` needs no stages.  Both it and each stage read their blocks
+off `structured_hermite_blocks`, which solves over the columns of T, column j
+modulo its own invariant factor s_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
+from typing import Sequence
 
-from .howell import hermite_via_howell, hermite_with_eliminator
+from .howell import hermite_with_eliminator
 from .intmat import (
     DimensionError,
     HermiteBasis,
@@ -29,7 +35,6 @@ from .intmat import (
     PreconditionError,
     SmithForm,
     colmod_mul,
-    hstack,
     invariant_checks_enabled,
     matadd,
     matmul,
@@ -62,75 +67,60 @@ def structured_hermite_blocks(f: IntMat, t: HermiteBasis, a: IntMat,
 
     The bordered matrix [I F 0 0; 0 T 0 I; 0 A I 0; 0 S 0 0] has Hermite form
     [I G 0 Q; 0 T 0 *; 0 0 I C; 0 0 0 K].  Requires L(S) and L(A) inside
-    L(T), and F, A reduced modulo the largest invariant factor s.  Computed
-    chunkwise: rows of A (and of F) are processed m at a time, each chunk by
-    one Hermite lift over Z/(s^2) of a matrix of dimension at most 3m.
+    L(T).  A Hermite form is unique, so each block row is read off a solve
+    over the columns of T, column j modulo its own s_j:
 
-    Each lift's leading block is the Hermite basis of L(T) + L(chunk) + L(S),
-    so comparing it with T checks the containment; with no rows of A, one
-    empty chunk still checks L(S).  The bordered matrices are assembled from
-    plain row tuples and the blocks are read off the lift by slicing.
+    * K is the Hermite basis of {z : z*T in L(S)}.  Its diagonal is s_j/t_jj,
+      and its row j solves z*T == 0 column-modulo S from z_j = s_j/t_jj on;
+    * a row of C solves c*T == -a column-modulo S from column 0;
+    * a row of G is f reduced against the rows of T, and the matching row of
+      Q is minus the quotients, reduced against the rows of K.
+
+    Once the K solves succeed, det{z : z*T in L(S)} <= det S / det T, which
+    forces L(S) inside L(T); a C solve then fails exactly when its row of A
+    is outside L(T).  Every entry of a solve stays below its s_j.
     """
     m = s.dim
     if t.dim != m or f.cols != m or a.cols != m:
         raise DimensionError("block computation needs matching column dimensions")
-    sval = s.largest
     t_rows = t.mat.data
-    unit_m = _unit_rows(m)
-    zero_m = (0,) * m
-    s_rows = [zero_m[:i] + (d,) + zero_m[i + 1:] for i, d in enumerate(s.diag)]
-    k_block: tuple[tuple[int, ...], ...] | None = None
-    c_rows: list[tuple[int, ...]] = []
-    for lo in range(0, a.rows or 1, m):
-        chunk = a.data[lo:lo + m]
-        h = len(chunk)
-        unit_h = _unit_rows(h)
-        zero_h = (0,) * h
-        w = 2 * m + h
-        # [T 0 I; A I 0; S 0 0]
-        bordered = [r + zero_h + u for r, u in zip(t_rows, unit_m)]
-        bordered += [r + u + zero_m for r, u in zip(chunk, unit_h)]
-        bordered += [r + zero_h + zero_m for r in s_rows]
-        hb = hermite_via_howell(IntMat._of_rows(bordered, w, w), sval).mat.data
-        if any(r[:m] != tr for r, tr in zip(hb, t_rows)) or \
-                any(r[m:m + h] != u for r, u in zip(hb[m:], unit_h)):
-            raise PreconditionError("T is not the Hermite basis of its stack")
-        c_rows.extend(r[m + h:] for r in hb[m:m + h])
-        kb = tuple(r[m + h:] for r in hb[m + h:])
-        if k_block is not None and kb != k_block:
-            raise PreconditionError("inconsistent trailing block across chunks")
-        k_block = kb
-    g_rows: list[tuple[int, ...]] = []
-    q_rows: list[tuple[int, ...]] = []
-    for lo in range(0, f.rows, m):
-        chunk = f.data[lo:lo + m]
-        h = len(chunk)
-        unit_h = _unit_rows(h)
-        zero_h = (0,) * h
-        w = 2 * m + h
-        # [I F 0; 0 T I; 0 S 0]
-        bordered = [u + r + zero_m for r, u in zip(chunk, unit_h)]
-        bordered += [zero_h + r + u for r, u in zip(t_rows, unit_m)]
-        bordered += [zero_h + r + zero_m for r in s_rows]
-        hb = hermite_via_howell(IntMat._of_rows(bordered, w, w), sval).mat.data
-        if any(r[h:h + m] != tr for r, tr in zip(hb[h:], t_rows)):
-            raise PreconditionError("T is not the Hermite basis of its stack")
-        g_rows.extend(r[h:h + m] for r in hb[:h])
-        q_rows.extend(r[h + m:] for r in hb[:h])
-        kb = tuple(r[h + m:] for r in hb[h + m:])
-        if k_block is not None and kb != k_block:
-            raise PreconditionError("inconsistent trailing block across chunks")
-        k_block = kb
-    if k_block is None:
-        raise InternalError("no chunk produced a trailing block")
+    t_cols = list(zip(*t_rows))
+    t_diag = t.diagonal()
+    if any(sj % tj for sj, tj in zip(s.diag, t_diag)):
+        raise PreconditionError("T is not the Hermite basis of its stack")
+
+    def solve(z: list[int], b: Sequence[int]) -> list[int]:
+        # extend z column by column so that z*T + b lies in L(S)
+        for k in range(len(z), m):
+            r = -(b[k] + sum(map(mul, z, t_cols[k]))) % s.diag[k]
+            if r % t_diag[k]:
+                raise PreconditionError("T is not the Hermite basis of its stack")
+            z.append(r // t_diag[k])
+        return z
+
+    k_diag = [sj // tj for sj, tj in zip(s.diag, t_diag)]
+    k_rows = [solve([0] * j + [d], (0,) * m) for j, d in enumerate(k_diag)]
+    c_rows = [solve([], row) for row in a.data]
+    g_rows: list[list[int]] = []
+    q_rows: list[list[int]] = []
+    for row in f.data:
+        g, quots = _hermite_reduce(list(row), t_rows, t_diag)
+        g_rows.append(g)
+        q_rows.append(_hermite_reduce([-x for x in quots], k_rows, k_diag)[0])
     return (IntMat._of_rows(g_rows, f.rows, m), IntMat._of_rows(q_rows, f.rows, m),
-            IntMat._of_rows(c_rows, a.rows, m), IntMat._of_rows(k_block, m, m))
+            IntMat._of_rows(c_rows, a.rows, m), IntMat._of_rows(k_rows, m, m))
 
 
-def _unit_rows(n: int) -> list[tuple[int, ...]]:
-    """The rows of the n x n identity."""
-    zeros = (0,) * n
-    return [zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)]
+def _hermite_reduce(v: list[int], rows: Sequence[Sequence[int]],
+                    diag: Sequence[int]) -> tuple[list[int], list[int]]:
+    """v reduced against Hermite rows from left to right, and the quotients."""
+    quots = []
+    for k, (row, d) in enumerate(zip(rows, diag)):
+        q = v[k] // d
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+        quots.append(q)
+    return v, quots
 
 
 def stage_transform(f1: IntMat, a1: IntMat, s1: SmithForm
@@ -150,7 +140,7 @@ def stage_transform(f1: IntMat, a1: IntMat, s1: SmithForm
         return tr, IntMat.zeros(f1.rows, m1), ident
     t1, e = hermite_with_eliminator(s1, a1)
     g1, q, c, k = structured_hermite_blocks(f1, t1, a1, s1)
-    # K is the trailing block of a verified Hermite lift
+    # the column solves build K in Hermite form
     tr = StageTransform(e, q, c, HermiteBasis._trusted(k))
     if invariant_checks_enabled():
         verify_stage_identity(tr, g1, t1, f1, a1, s1)
@@ -265,10 +255,8 @@ def coprime_parts(t: HermiteBasis, a: IntMat, s: SmithForm
 
     Requires t == hermite_of_stack(a, s).  [I C; 0 K] is the Hermite form of
     [I -A*T^{-1}; 0 S*T^{-1}]; the relations lattice of (K, C) equals that of
-    (S, A) and the pair (K, C) is coprime.  Runs the slicing driver with the
-    eliminator step skipped: the Hermite block of each slice is read off T,
-    and the transform's upper block is zero, so only the A-side products are
-    performed.
+    (S, A) and the pair (K, C) is coprime.  These are the C and K blocks of
+    `structured_hermite_blocks` on the full T and S, with no rows of F.
     """
     require_colreduced(a, s, "relations input")
     m = s.dim
@@ -278,41 +266,8 @@ def coprime_parts(t: HermiteBasis, a: IntMat, s: SmithForm
     if invariant_checks_enabled():
         if t != hermite_of_stack(a, s):
             raise PreconditionError("T is not the Hermite basis of the stack")
-    c_cols: list[IntMat] = []
-    k_grid = [[0] * m for _ in range(m)]
-    abar = a
-    sbar = s
-    d = 0
-    while sbar.dim > 0:
-        mbar = sbar.dim
-        m1, m2 = _stage_split(mbar)
-        s1 = SmithForm(sbar.diag[:m1])
-        s2 = SmithForm(sbar.diag[m1:])
-        if invariant_checks_enabled():
-            _check_stage_bound(s, s1.largest, mbar)
-        a1 = abar.submatrix(0, abar.rows, 0, m1)
-        a2 = abar.submatrix(0, abar.rows, m1, mbar)
-        # a diagonal block of a Hermite basis is one
-        t1 = HermiteBasis._trusted(t.mat.submatrix(d, d + m1, d, d + m1))
-        if s1.largest == 1:
-            cst = IntMat.zeros(abar.rows, m1)
-            kst = IntMat.identity(m1)
-        else:
-            _, _, cst, kst = structured_hermite_blocks(IntMat.zeros(0, m1), t1, a1, s1)
-        c_cols.append(cst.submatrix(0, n, 0, m1))
-        for i in range(abar.rows - n):
-            k_grid[i][d:d + m1] = list(cst.row(n + i))
-        for i in range(m1):
-            k_grid[d + i][d:d + m1] = list(kst.row(i))
-        # residual of the fixed T rows against the trailing slice
-        tgam = t.mat.submatrix(d, d + m1, d + m1, d + mbar)
-        prod = colmod_mul(vstack(cst, kst), tgam, s2)
-        new_top = _add_mod(a2, prod.submatrix(0, abar.rows, 0, m2), s2)
-        abar = vstack(new_top, prod.submatrix(abar.rows, abar.rows + m1, 0, m2))
-        sbar = s2
-        d += m1
-    c = hstack(*c_cols) if c_cols else IntMat.zeros(n, 0)
-    k = HermiteBasis(IntMat._of_rows(k_grid, m, m))
+    _, _, c, k_mat = structured_hermite_blocks(IntMat.zeros(0, m), t, a, s)
+    k = HermiteBasis(k_mat)
     if t.determinant() * k.determinant() != s.determinant():
         raise PreconditionError("determinant identity det(T)*det(K) == det(S) failed")
     for j in range(m):

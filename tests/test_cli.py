@@ -305,6 +305,23 @@ class TestVerifyCommand:
             assert err.endswith(", but H and S need it 3x1\n")
 
 
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    # one parser serves every call; no --in list or flag may carry over
+    m = write(tmp_path, "m.mat", EX4_TEXT)
+    a = write(tmp_path, "a.mat", "2 2\n2 1\n0 3\n")
+    b = write(tmp_path, "b.mat", "2 2\n1 1\n0 2\n")
+    runs = [["product-hnf", "--in", a, "--in", b], ["hnf", "--in", m, "--debug-invariants"],
+            ["product-hnf", "--in", b, "--in", a], ["hnf", "--in", m]]
+    results = [run_cli(args, capsys) for args in runs]
+    assert [code for code, _, _ in results] == [0, 0, 0, 0]
+    assert parse_matrix(results[0][1]) == naive_hnf(matmul(IntMat([[2, 1], [0, 3]]),
+                                                           IntMat([[1, 1], [0, 2]]))).mat
+    assert parse_matrix(results[2][1]) == naive_hnf(matmul(IntMat([[1, 1], [0, 2]]),
+                                                           IntMat([[2, 1], [0, 3]]))).mat
+    assert results[1][1] == results[3][1] == format_matrix(naive_hnf(parse_matrix(EX4_TEXT)).mat)
+    assert not invariant_checks_enabled()
+
+
 def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "hnfkit.cli", "--help"],
                           capture_output=True, text=True)

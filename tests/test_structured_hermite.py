@@ -219,25 +219,16 @@ class TestStructuredBlocks:
         assert c == IntMat([], 0, 2)
         assert k == IntMat.identity(2)
 
-    def test_chunked_equals_unchunked(self, rng):
-        # tall A split into several m-row chunks gives the same C as one
-        # direct bordered Hermite computation
+    def test_blocks_match_bordered_reference(self, rng):
+        # G, Q against the lift of [I F 0; 0 T I; 0 S 0] and C, K against
+        # the lift of [T 0 I; A I 0; S 0 0], with F and A taller than 2m
         for _ in range(25):
             m = rng.randint(1, 3)
             s = rand_smith(rng, m)
-            if s.largest == 1:
-                continue
-            a = rand_reduced(rng, 2 * m + 1, s)
+            a = rand_reduced(rng, rng.randint(2 * m + 1, 2 * m + 3), s)
+            f = rand_reduced(rng, rng.randint(2 * m + 1, 2 * m + 3), s)
             t = hermite_of_stack(a, s)
-            _, _, c, k = structured_hermite_blocks(IntMat([], 0, m), t, a, s)
-            bordered = vstack(
-                hstack(t.mat, IntMat.zeros(m, a.rows), IntMat.identity(m)),
-                hstack(a, IntMat.identity(a.rows), IntMat.zeros(a.rows, m)),
-                hstack(s.as_matrix(), IntMat.zeros(m, a.rows), IntMat.zeros(m, m)))
-            direct = hermite_via_howell(bordered, s.largest).mat
-            assert direct.submatrix(m, m + a.rows, m + a.rows, m + a.rows + m) == c
-            assert direct.submatrix(m + a.rows, 2 * m + a.rows,
-                                    m + a.rows, m + a.rows + m) == k
+            assert structured_hermite_blocks(f, t, a, s) == _reference_blocks(f, t, a, s)
 
     def test_blocks_are_trusted_results(self, rng):
         for _ in range(40):
@@ -258,7 +249,7 @@ class TestStructuredBlocks:
             assert_trusted(out, a, b)
             assert out == colmod(matadd(a, b), s)
 
-    def test_containment_precondition(self):
+    def test_containment_precondition(self, rng):
         t4 = HermiteBasis(IntMat([[4]]))
         no_rows = IntMat([], 0, 1)
         # L(A) outside L(T); L(S) outside L(T) with no rows of A; S the
@@ -268,3 +259,51 @@ class TestStructuredBlocks:
                         (HermiteBasis(IntMat([[2]])), no_rows, SmithForm([1]))):
             with pytest.raises(PreconditionError):
                 structured_hermite_blocks(no_rows, t, a, s)
+        # a wrong T: the stack basis of A and some extra rows, with one
+        # diagonal entry scaled by 2 or 3 and the entries above it redrawn;
+        # rejected exactly when the reference's leading block is not T, and
+        # otherwise the reference's blocks
+        rejected = 0
+        for _ in range(150):
+            m = rng.randint(1, 4)
+            s = rand_smith(rng, m)
+            a = rand_reduced(rng, rng.randint(0, 2 * m + 1), s)
+            f = rand_reduced(rng, rng.randint(0, 2 * m + 1), s)
+            extra = rand_reduced(rng, rng.randint(1, 4), s)
+            rows = hermite_of_stack(vstack(a, extra), s).mat.to_rows()
+            j = rng.randrange(m)
+            rows[j][j] *= rng.choice((2, 3))
+            for i in range(j):
+                rows[i][j] = rng.randrange(rows[j][j])
+            t = HermiteBasis(IntMat(rows))
+            lift = hermite_via_howell(_bordered_c_k(t, a, s), s.largest).mat
+            if lift.submatrix(0, m, 0, m) != t.mat:
+                rejected += 1
+                with pytest.raises(PreconditionError) as exc:
+                    structured_hermite_blocks(f, t, a, s)
+                assert str(exc.value) == "T is not the Hermite basis of its stack"
+            else:
+                assert structured_hermite_blocks(f, t, a, s) == _reference_blocks(f, t, a, s)
+        assert 0 < rejected < 150
+
+
+def _bordered_c_k(t, a, s):
+    """[T 0 I; A I 0; S 0 0], whose Hermite form holds C and K."""
+    m, n = s.dim, a.rows
+    return vstack(hstack(t.mat, IntMat.zeros(m, n), IntMat.identity(m)),
+                  hstack(a, IntMat.identity(n), IntMat.zeros(n, m)),
+                  hstack(s.as_matrix(), IntMat.zeros(m, n), IntMat.zeros(m, m)))
+
+
+def _reference_blocks(f, t, a, s):
+    """(G, Q, C, K) read off two Hermite lifts of bordered matrices."""
+    m, n, h = s.dim, a.rows, f.rows
+    ck = hermite_via_howell(_bordered_c_k(t, a, s), s.largest).mat
+    # [I F 0; 0 T I; 0 S 0]
+    gq = hermite_via_howell(vstack(
+        hstack(IntMat.identity(h), f, IntMat.zeros(h, m)),
+        hstack(IntMat.zeros(m, h), t.mat, IntMat.identity(m)),
+        hstack(IntMat.zeros(m, h), s.as_matrix(), IntMat.zeros(m, m))), s.largest).mat
+    return (gq.submatrix(0, h, h, h + m), gq.submatrix(0, h, h + m, h + 2 * m),
+            ck.submatrix(m, m + n, m + n, n + 2 * m),
+            ck.submatrix(m + n, n + 2 * m, m + n, n + 2 * m))
