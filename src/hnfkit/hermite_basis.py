@@ -11,6 +11,13 @@ overlay into H without any arithmetic.
 The band is described by an index pair (k, m): the basis is the identity
 outside an m-column window starting at column k.  The base case m == 1 is a
 single modular division.
+
+A band whose modulus is cyclic, (1, ..., 1, s), is the common case: a random
+square matrix almost always has a cyclic cokernel.  Its lattice is
+{p : p.f == 0 (mod s)} for F's last column f, and without a trace such a
+node is solved by one gcd sweep over f instead of the recursion.  The sweep
+hands wrong bands and non-coprime pairs back to the recursion, so every
+error is the recursion's own; `trace=` always runs the recursion in full.
 """
 
 from __future__ import annotations
@@ -98,17 +105,63 @@ def _overlay(h2: HermiteBasis, h1: HermiteBasis, k: int, m1: int, m2: int) -> He
     return out
 
 
+def _cyclic_sweep(s: int, f: tuple[int, ...], k: int, m: int) -> HermiteBasis | None:
+    """Index (k, m) Hermite basis of {p : p.f == 0 (mod s)} by one gcd sweep.
+
+    With g_n = s and g_i = gcd(f_i, g_{i+1}), row i has diagonal
+    d_i = g_{i+1} / g_i and entries only in the columns j > i with d_j > 1;
+    each entry is the unique residue mod d_j that makes the running sum
+    vanish mod g_{j+1}.  Returns None when g_0 != 1 (the pair is not
+    coprime) or a nontrivial column lies outside [k, k+m) (the band is
+    wrong), so that the recursion reports the violation in its own words.
+    """
+    n = len(f)
+    g = [0] * n + [s]
+    for i in range(n - 1, -1, -1):
+        g[i] = gcd(f[i], g[i + 1])
+    if g[0] != 1:
+        return None
+    d = [g[i + 1] // g[i] for i in range(n)]
+    live = [j for j in range(n) if d[j] > 1]
+    if live and (live[0] < k or live[-1] >= k + m):
+        return None
+    inv = {j: pow(f[j] // g[j], -1, d[j]) for j in live}
+    rows = IntMat.identity(n).to_rows()
+    for i, row in enumerate(rows):
+        row[i] = d[i]
+        r = d[i] * f[i] % s
+        for j in live:
+            if j > i:
+                p = -(r // g[j]) * inv[j] % d[j]
+                row[j] = p
+                r = (r + p * f[j]) % s
+        if r:
+            raise InternalError("cyclic sweep left a row outside the relations lattice")
+    return HermiteBasis._trusted(IntMat._of_rows(rows, n, n))
+
+
 def hermite_basis(call: HBCall, trace: TraceFn | None = None) -> HermiteBasis:
     """Hermite basis of the relations lattice of a coprime (S, F).
 
     Preconditions: (S, F) coprime and the basis is index (k, m).  Splits the
     band m = floor(m/2) + ceil(m/2), computes H1 from the first part and H2
     from the second, and overlays.
+
+    Without a trace, a node whose band modulus is cyclic (every invariant
+    factor but the last is 1, so only F's last column f is nonzero) is
+    solved by `_cyclic_sweep` instead, in O(n * |J|) for the J columns
+    whose diagonal exceeds 1.  The Hermite basis is unique, so both routes
+    give the same matrix; a trace always sees the full recursion.
     """
     s, f, k, m = call.s, call.f, call.k, call.m
     n = f.rows
     if m == 0:
         return HermiteBasis._trusted(IntMat.identity(n))
+    if trace is None and m > 1 and all(d == 1 for d in s.diag[:-1]):
+        h = _cyclic_sweep(s.diag[-1], f.column(m - 1), k, m)
+        if h is not None:
+            _check_result(h, s, f)
+            return h
     if m == 1:
         h = base_case(s.diag[0], f, k)
         if trace is not None:

@@ -196,3 +196,69 @@ class TestRelationsHermiteBasis:
     def test_rank_deficiency_raises(self):
         with pytest.raises(PreconditionError):
             relations_hermite_basis(IntMat([[1, 2], [2, 4]]), IntMat.identity(2))
+
+
+class TestCyclicSweep:
+    """Untraced cyclic nodes skip the recursion; the traced recursion is the
+    reference they must match, errors included."""
+
+    def test_matches_traced_recursion(self, rng):
+        primes = (2, 2, 3, 5, 7)
+        live_seen, outcomes, full_bands = set(), set(), 0
+        for trial in range(300):
+            n = rng.randint(2, 7)
+            m = rng.randint(2, n)
+            steps = [1]
+            for _ in range(rng.randint(0, m + 1)):
+                steps.append(steps[-1] * rng.choice(primes))
+            s = steps[-1]
+            # scaling by a divisor of s lengthens the chain of gcds
+            f = [rng.randrange(s) * rng.choice(steps) % s for _ in range(n)]
+            kind = trial % 3
+            if kind == 0:
+                k, m = 0, n
+            else:
+                k = rng.randint(0, n - m)
+            if kind == 2:
+                # a prime factor of s in every entry makes the pair not coprime
+                p = next((q for q in primes if s % q == 0), 1)
+                f = [x * p % s for x in f]
+            call = HBCall(SmithForm([1] * (m - 1) + [s]),
+                          IntMat([[0] * (m - 1) + [x] for x in f], n, m), k, m)
+            try:
+                want = hermite_basis(call, trace=lambda ev: None)
+            except PreconditionError as e:
+                with pytest.raises(type(e)) as got:
+                    hermite_basis(call)
+                assert str(got.value) == str(e)
+                outcomes.add(kind + 3)
+                continue
+            got = hermite_basis(call)
+            assert got.mat == want.mat
+            assert_trusted(got.mat, call.f)
+            live = sum(1 for d in got.diagonal() if d > 1)
+            live_seen.add(live)
+            full_bands += live == m
+            outcomes.add(kind)
+        # every kind of call both succeeded and was refused, and the number
+        # of nontrivial columns |J| ran from 0 up to the whole band
+        assert outcomes == set(range(6))
+        assert set(range(5)) <= live_seen and full_bands
+
+    def test_untraced_call_skips_the_recursion(self, monkeypatch):
+        import hnfkit.hermite_basis as hb
+
+        def refuse(*args):
+            raise AssertionError("the recursion ran on a cyclic band")
+
+        monkeypatch.setattr(hb, "coprime_parts", refuse)
+        monkeypatch.setattr(hb, "hermite_of_stack", refuse)
+        call = HBCall(SmithForm([1, 1, 24]), IntMat([[0, 0, 19], [0, 0, 10], [0, 0, 3]]), 0, 3)
+        assert hermite_basis(call).mat == EX4_HNF
+        # criterion 2's input, untraced and end to end
+        got = relations_hermite_basis(IntMat([[24]]), IntMat([[19], [10], [3]]))
+        assert got.mat == EX4_HNF
+        monkeypatch.undo()
+        events = []
+        assert hermite_basis(call, trace=events.append).mat == EX4_HNF
+        assert any(ev.get("kind") == "split" for ev in events)
