@@ -5,8 +5,9 @@ entries above a pivot are reduced modulo that pivot, and stabilizer rows are
 inserted so the form spans every span element with a given leading-zero
 prefix.  For a full column rank A with s*I contained in L(A), the canonical
 lift of the Howell form over Z/(s^2) is the Hermite form of A over Z.  The
-stage eliminator of `hermite_of_stack` and the index check of `hnfkit verify`
-work that way, modulo a single invariant factor instead of a determinant.
+index check of `hnfkit verify`, the invariant check of `hermite_of_stack` and
+the reference stage eliminator work that way, modulo a single invariant
+factor instead of a determinant.
 """
 
 from __future__ import annotations

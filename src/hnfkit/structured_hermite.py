@@ -8,15 +8,19 @@ reduced A:
   [I -A*T^{-1}; 0 S*T^{-1}], without ever forming T^{-1}, so the relations
   lattice of (S, A) equals that of (K, C) with coprime inputs.
 
-`hermite_of_stack` runs a staged slicing driver: each stage fixes the leading
-half of the columns not yet in Hermite form by solving a small Hermite problem
-modulo the largest invariant factor of that slice, then pushes the transform
-through the trailing columns with plain column-modulo products (`colmod_mul`).
-Halving the slice each stage keeps every stage's scalar modulus near the
-average invariant-factor bitlength instead of the largest one.
+`hermite_of_stack` runs one elimination over the rows of A, the
+modulo-determinant Hermite elimination of Domich, Kannan and Trotter with
+one modulus per column: L(S) holds s_j*e_j, so column j may be reduced
+modulo s_j at any point.
 
-`coprime_parts` needs no stages.  Both it and each stage read their blocks
-off `structured_hermite_blocks`, which solves over the columns of T, column j
+The paper instead slices the columns into halving stages, each solved
+modulo the largest invariant factor of its slice, so that its bit
+complexity matches fast matrix multiplication.  With schoolbook products
+the stages cost more than they save; `stage_transform` and `stage_apply`
+remain as the tested reference of that slicing, off the hot path.
+
+`coprime_parts` and each stage read their blocks off
+`structured_hermite_blocks`, which solves over the columns of T, column j
 modulo its own invariant factor s_j.
 """
 
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .howell import hermite_with_eliminator
+from .howell import hermite_via_howell, hermite_with_eliminator
 from .intmat import (
     DimensionError,
     HermiteBasis,
@@ -42,6 +46,7 @@ from .intmat import (
     require_colreduced,
     vstack,
 )
+from .modn import ext_gcd
 
 
 @dataclass(frozen=True)
@@ -201,52 +206,51 @@ def _add_mod(a: IntMat, b: IntMat, s: SmithForm) -> IntMat:
                             for ra, rb in zip(a.data, b.data)], a.rows, a.cols)
 
 
-def _stage_split(mbar: int) -> tuple[int, int]:
-    m1 = (mbar + 1) // 2
-    return m1, mbar - m1
-
-
-def _check_stage_bound(s_full: SmithForm, sval: int, mbar: int) -> None:
-    # bitlength(s) <= 2*bitlength(det S)/mbar + 1 at every stage
-    det_bits = max(1, s_full.determinant().bit_length())
-    if sval.bit_length() * mbar > 2 * det_bits + mbar:
-        raise InternalError("stage modulus exceeded the average-bitlength bound")
-
-
 def hermite_of_stack(a: IntMat, s: SmithForm) -> HermiteBasis:
-    """Hermite basis T of L(A) + L(S), by staged slicing.
+    """Hermite basis T of L(A) + L(S), by one column-modulo elimination.
 
-    A must be reduced column-modulo S.  Stage k fixes the leading half of the
-    columns not yet in Hermite form, so the scalar modulus of every stage is
-    bounded near the average invariant-factor bitlength.
+    A must be reduced column-modulo S.  L(S) holds s_k*e_k, so reducing
+    column k modulo s_k is a lattice operation.  Column j starts its pivot
+    row at s_j*e_j and folds into it, by extended gcds, every remaining row
+    of A that is nonzero there; rows that become zero are dropped.  s_j*e_j
+    is itself one of the folded rows, so no stabiliser row is needed.  The
+    entries above each pivot are reduced last.  Under `invariant_checks`,
+    T is compared with the Howell lift of the stack, an independent route.
     """
     require_colreduced(a, s, "stack block")
     m = s.dim
-    done_rows: list[list[int]] = []   # finished T rows; width grows to m
-    fbar = IntMat.zeros(0, m)
-    abar = a
-    sbar = s
-    d = 0
-    while sbar.dim > 0:
-        mbar = sbar.dim
-        m1, _ = _stage_split(mbar)
-        s1 = SmithForm(sbar.diag[:m1])
-        s2 = SmithForm(sbar.diag[m1:])
-        if invariant_checks_enabled():
-            _check_stage_bound(s, s1.largest, mbar)
-        f1 = fbar.submatrix(0, fbar.rows, 0, m1)
-        f2 = fbar.submatrix(0, fbar.rows, m1, mbar)
-        a1 = abar.submatrix(0, abar.rows, 0, m1)
-        a2 = abar.submatrix(0, abar.rows, m1, mbar)
-        tr, g1, t1 = stage_transform(f1, a1, s1)
-        for row, grow in zip(done_rows, g1.data):
-            row.extend(grow)
-        for i in range(m1):
-            done_rows.append([0] * d + list(t1.mat.row(i)))
-        fbar, abar = stage_apply(tr, f2, a2, s2)
-        sbar = s2
-        d += m1
-    return HermiteBasis(IntMat._of_rows(done_rows, m, m))
+    rows = [r for r in a.data if any(r)]
+    t_rows: list[list[int]] = []
+    for j, sj in enumerate(s.diag):
+        # rows hold columns j.. only; everything before them is zero
+        mods = s.diag[j:]
+        p = [sj] + [0] * (m - j - 1)
+        left = []
+        for r in rows:
+            p0, r0 = p[0], r[0]
+            if r0 % p0:
+                g, x, y = ext_gcd(p0, r0)
+                u, v = p0 // g, r0 // g
+                p, r = ([(x * c + y * d) % sk for c, d, sk in zip(p, r, mods)],
+                        [(u * d - v * c) % sk for c, d, sk in zip(p, r, mods)])
+            elif r0:
+                # the pivot already divides r0: only r changes
+                q = r0 // p0
+                r = [(d - q * c) % sk for c, d, sk in zip(p, r, mods)]
+            if any(r):
+                left.append(r[1:])
+        rows = left
+        t_rows.append([0] * j + p)
+    for i, row in enumerate(t_rows):
+        for k in range(i + 1, m):
+            q = row[k] // t_rows[k][k]
+            if q:
+                row[k:] = [x - q * y for x, y in zip(row[k:], t_rows[k][k:])]
+    t = HermiteBasis(IntMat._of_rows(t_rows, m, m))
+    if invariant_checks_enabled():
+        if t != hermite_via_howell(vstack(a, s.as_matrix()), s.largest):
+            raise InternalError("column-modulo elimination disagrees with the Howell lift")
+    return t
 
 
 def coprime_parts(t: HermiteBasis, a: IntMat, s: SmithForm

@@ -1,9 +1,14 @@
 import pytest
 
+import hnfkit.structured_hermite as sh
+from hnfkit.apps import multivariable_crt
+from hnfkit.hermite_basis import relations_hermite_basis
 from hnfkit.howell import hermite_via_howell
 from hnfkit.intmat import (
+    DiagonalModulus,
     HermiteBasis,
     IntMat,
+    InternalError,
     PreconditionError,
     SmithForm,
     colmod,
@@ -67,6 +72,31 @@ class TestHermiteOfStack:
                 off += m1
                 mbar -= m1
 
+    def test_matches_stage_reference(self, rng):
+        # against the paper's halving schedule, replayed from the kept stage
+        # functions: factor steps up to 10^6 after leading unit factors, with
+        # no rows, a few rows, zero rows, more than 3m rows, or the rows of S
+        for i in range(250):
+            m = rng.randint(1, 6)
+            diag = [1] * rng.randint(0, m - 1)
+            while len(diag) < m:
+                step = rng.randint(2, 10**6) if rng.random() < 0.5 else rng.choice((1, 2, 3))
+                diag.append((diag[-1] if diag else 1) * step)
+            s = SmithForm(diag)
+            kind = i % 5
+            if kind == 0:
+                a = IntMat([], 0, m)
+            elif kind == 4:
+                a = colmod(s.as_matrix(), s)
+            else:
+                n = rng.randint(3 * m + 1, 3 * m + 4) if kind == 3 else rng.randint(1, 4)
+                rows = rand_reduced(rng, n, s).to_rows()
+                if kind == 2:
+                    for r in rng.sample(range(n), rng.randint(1, n)):
+                        rows[r] = [0] * m
+                a = IntMat(rows, n, m)
+            assert hermite_of_stack(a, s).mat == _staged_hermite(a, s)
+
     def test_runtime_invariants_enabled(self, rng):
         with invariant_checks(True):
             for _ in range(10):
@@ -74,6 +104,35 @@ class TestHermiteOfStack:
                 s = rand_smith(rng, m)
                 a = rand_reduced(rng, rng.randint(0, 3), s)
                 hermite_of_stack(a, s)
+
+
+class TestEliminationPath:
+    def test_golden_results_without_stages(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("stage machinery called")
+
+        for name in ("stage_transform", "stage_apply", "hermite_with_eliminator"):
+            monkeypatch.setattr(sh, name, fail)
+        for checks in (False, True):
+            with invariant_checks(checks):
+                assert hermite_of_stack(WORKED_A, WORKED_S).mat == WORKED_T
+                # both calls below reach hermite_of_stack several times
+                h, xp, hbar = multivariable_crt(
+                    DiagonalModulus([12, 18, 40]),
+                    IntMat([[5, 7, 3], [2, 9, 11], [4, 6, 13]]), IntMat([[1, 2, 3]]))
+                assert (h, xp) == (1, IntMat([[11, 1, 43]]))
+                assert hbar.mat == IntMat([[12, 4, 40], [0, 6, 78], [0, 0, 120]])
+                got = relations_hermite_basis(IntMat([[2, 0, 0], [0, 6, 0], [0, 0, 72]]),
+                                              IntMat([[1, 5, 19], [3, 1, 7]]))
+                assert got.mat == IntMat([[3, 33], [0, 72]])
+
+    def test_howell_cross_check(self, monkeypatch):
+        monkeypatch.setattr(sh, "hermite_via_howell",
+                            lambda a, s: HermiteBasis(IntMat.identity(a.cols)))
+        assert hermite_of_stack(WORKED_A, WORKED_S).mat == WORKED_T
+        with invariant_checks(True):
+            with pytest.raises(InternalError):
+                hermite_of_stack(WORKED_A, WORKED_S)
 
 
 class TestCoprimeParts:
@@ -285,6 +344,27 @@ class TestStructuredBlocks:
             else:
                 assert structured_hermite_blocks(f, t, a, s) == _reference_blocks(f, t, a, s)
         assert 0 < rejected < 150
+
+
+def _staged_hermite(a, s):
+    """Hermite basis of L(A) + L(S) by the paper's staged slicing: each stage
+    fixes the leading half of the columns not yet in Hermite form."""
+    m = s.dim
+    done = []   # finished rows of T; their width grows to m
+    fbar, abar, sbar = IntMat.zeros(0, m), a, s
+    while sbar.dim > 0:
+        mbar = sbar.dim
+        m1 = (mbar + 1) // 2
+        s1, s2 = SmithForm(sbar.diag[:m1]), SmithForm(sbar.diag[m1:])
+        tr, g1, t1 = stage_transform(fbar.submatrix(0, fbar.rows, 0, m1),
+                                     abar.submatrix(0, abar.rows, 0, m1), s1)
+        for row, grow in zip(done, g1.data):
+            row.extend(grow)
+        done += [[0] * (m - mbar) + list(t1.mat.row(i)) for i in range(m1)]
+        fbar, abar = stage_apply(tr, fbar.submatrix(0, fbar.rows, m1, mbar),
+                                 abar.submatrix(0, abar.rows, m1, mbar), s2)
+        sbar = s2
+    return IntMat(done, m, m)
 
 
 def _bordered_c_k(t, a, s):
