@@ -153,6 +153,12 @@ class IntMat:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def is_upper_triangular(self) -> bool:
+        """No nonzero entry left of the diagonal; the scan stops at the first
+        row that has one."""
+        rows = self.data
+        return not any(any(rows[i][:i]) for i in range(1, self.rows))
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMat) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -417,11 +423,8 @@ def determinant(a: IntMat) -> int:
     or 0 when a column has no pivot."""
     if not a.is_square():
         raise DimensionError("determinant of a non-square matrix")
-    n = a.rows
-    # the scan stops at the first row with a nonzero entry left of the diagonal
-    rows = a.data
-    if not any(any(rows[i][:i]) for i in range(1, n)):
-        return prod(rows[i][i] for i in range(n))
+    if a.is_upper_triangular():
+        return prod(a.data[i][i] for i in range(a.rows))
     res = _bareiss(a)
     if res is None:
         return 0
@@ -452,12 +455,11 @@ def lattice_contains(h: HermiteBasis, v: Sequence[int]) -> bool:
     return True
 
 
-_TOKEN_OK = frozenset("0123456789")
-
-
 def _parse_int(tok: str) -> int:
     body = tok[1:] if tok.startswith("-") else tok
-    if not body or any(c not in _TOKEN_OK for c in body):
+    # isdigit alone admits digits such as '²' or '٣' that int() rejects or
+    # reads; only ASCII 0-9 passes both tests
+    if not (body.isascii() and body.isdigit()):
         raise ParseError(f"bad integer token {tok!r}")
     return int(tok)
 

@@ -30,14 +30,30 @@ G, because q does not divide the content of y.  By the first check the two
 groups have the same order, so the map is onto, G has invariant factors
 s_1 | ... | s_n, and by the uniqueness of invariant factors S is the Smith
 form of M.
+
+For a square modulus with entries below a machine word, step 1 of
+`relations.to_smith_coprime` takes |det M| from `_lifted_determinant`
+instead of a Bareiss elimination, following Abbott, Bronstein and Mulders
+(ISSAC 1999).  One LU mod p gives det M mod p; one lift without a
+determinant gives (e, y) with M*y == e*b checked exactly and gcd(e, y) = 1,
+so e is the exact denominator of x = M^-1*b.  det*M^-1 is integral, hence
+e | det, and p, which does not divide det, does not divide e.  With H the
+Hadamard bound and Q the product of the primes used, |det/e| <= H/e < Q/2,
+so det/e is the one integer of absolute value below Q/2 congruent to
+det*e^-1 modulo Q: det = e*(det/e) is a proof, not a probabilistic check.
+When Q would need more than one extra prime, or p divides det, Bareiss
+supplies |det| and the lifted y is reused.  The gate on entry size is
+decided from the input alone: wider entries (a 1024-bit determinant against
+a Hadamard bound near 48k bits, say) would fail the bound after a lift that
+costs more than the Bareiss it replaces, so they keep the pivot route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import modn, structured_hermite
 from .intmat import (
@@ -53,8 +69,10 @@ from .intmat import (
     require_colreduced,
 )
 
-# the lifting prime of the entry massager: a word-size Mersenne prime
+# the lifting prime of the entry massager, a word-size Mersenne prime, and
+# the Mersenne prime of the one extra determinant residue
 _P = (1 << 61) - 1
+_P2 = (1 << 127) - 1
 
 
 @dataclass(frozen=True)
@@ -241,91 +259,192 @@ def smith_massager(m: IntMat) -> SmithMassager:
     return SmithMassager(s, colmod(IntMat._of_rows(v, n, n), s))
 
 
-def _lu_solver(rows: tuple[tuple[int, ...], ...], n: int) -> Callable[[list[int]], list[int]]:
-    """Solver of M*x == r modulo _P from one LU factorisation of M mod _P.
+def _lu_mod(rows: tuple[tuple[int, ...], ...], n: int, p: int
+            ) -> tuple[Callable[[list[int]], list[int]], int] | None:
+    """One LU factorisation of M modulo the prime p.
 
-    M must be invertible modulo _P.  The returned function takes r with
-    entries in [0, _P).
+    Returns the solver of M*x == r (mod p), which takes r with entries in
+    [0, p), and det M mod p: the pivot product, negated once per row swap.
+    None when a column has no pivot, that is when p divides det M.
     """
-    a = [[x % _P for x in row] for row in rows]
+    a = [[x % p for x in row] for row in rows]
     perm = list(range(n))
+    det = 1
     for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k])
-        a[k], a[piv] = a[piv], a[k]
-        perm[k], perm[piv] = perm[piv], perm[k]
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            perm[k], perm[piv] = perm[piv], perm[k]
+            det = -det
         rk = a[k]
-        inv = pow(rk[k], -1, _P)
+        det = det * rk[k] % p
+        inv = pow(rk[k], -1, p)
         tail = rk[k + 1:]
         for ri in a[k + 1:]:
             if ri[k]:
-                f = ri[k] * inv % _P
+                f = ri[k] * inv % p
                 ri[k] = f
-                ri[k + 1:] = [(x - f * y) % _P for x, y in zip(ri[k + 1:], tail)]
+                ri[k + 1:] = [(x - f * y) % p for x, y in zip(ri[k + 1:], tail)]
     # L below the diagonal as prefixes; U above it as reversed suffixes, so
     # both substitutions are one zip against the solution built so far
     lower = [a[i][:i] for i in range(n)]
     upper = [a[i][:i:-1] for i in range(n)]
-    pivinv = [pow(a[i][i], -1, _P) for i in range(n)]
+    pivinv = [pow(a[i][i], -1, p) for i in range(n)]
 
     def solve(r: list[int]) -> list[int]:
         z = []
         for i in range(n):
-            z.append((r[perm[i]] - sum(map(mul, lower[i], z))) % _P)
+            z.append((r[perm[i]] - sum(map(mul, lower[i], z))) % p)
         xr = []
         for i in range(n - 1, -1, -1):
-            xr.append((z[i] - sum(map(mul, upper[i], xr))) * pivinv[i] % _P)
+            xr.append((z[i] - sum(map(mul, upper[i], xr))) * pivinv[i] % p)
         return xr[::-1]
 
-    return solve
+    return solve, det
 
 
-def _lifted_solution(m: IntMat, det: int) -> list[int]:
-    """y = det * M^-1 * b for the fixed right-hand side b = (1, 2, ..., n).
+def _hadamard_bits(sqnorms: Iterable[int]) -> int:
+    """An h with 2^h above the product of the square roots of `sqnorms`:
+    the Hadamard bound of a matrix whose rows have these squared norms."""
+    return (sum(x.bit_length() for x in sqnorms) + 1) // 2
 
-    Dixon p-adic lifting with p = _P, which must not divide det: one LU
-    factorisation mod p, then one p-adic digit of M^-1*b per step.  Since
-    det*M^-1 is integral, y is the symmetric residue of det*x mod p^k as soon
-    as p^k > 2*max|y|.  Lifting stops early once that residue repeats and
-    M*y == det*b holds exactly; the Hadamard bound on the Cramer minors
-    |y_i| caps the number of steps, and a vector that still fails there
-    raises InternalError.
+
+def _common_denominator(x: list[int], pk: int) -> int | None:
+    """Vector rational reconstruction of x modulo pk, with balanced bounds.
+
+    With B = isqrt(pk // 2), so that 2*B*B < pk: the least d <= B found with
+    every d*x_i congruent modulo pk to an integer of absolute value at most
+    B, or None.  One half-extended Euclid per entry, on the running multiple
+    d*x_i.  The answer is the denominator of x whenever x = y/e with
+    |y_i| <= B and e <= B.
+    """
+    bound = isqrt(pk >> 1)
+    d = 1
+    for xi in x:
+        r0, r1, t0, t1 = pk, d * xi % pk, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        d *= abs(t1)
+        if d > bound:
+            return None
+    return d
+
+
+def _lifted_solution(m: IntMat, solve: Callable[[list[int]], list[int]],
+                     det: int | None = None) -> tuple[int, list[int]]:
+    """x = M^-1*b for the fixed right-hand side b = (1, 2, ..., n), as a pair
+    (e, y) with x = y/e and M*y == e*b checked exactly.
+
+    Dixon p-adic lifting with p = _P: `solve` is M's LU solver mod p, and
+    each step adds one p-adic digit of x.  |det*x_i| is a minor with column
+    i replaced by b, whose Hadamard bound caps the steps; a vector that
+    still fails there raises InternalError.  Two stopping rules:
+
+    * det given (p must not divide it): e = det.  det*M^-1 is integral, so
+      y is the symmetric residue of det*x mod p^k once p^k > 2*max|y|;
+      lifting stops once that residue repeats and the check holds.
+    * det None: vector rational reconstruction at steps spaced about x1.25
+      in bits yields a candidate e; in between, the residue of e*x must
+      repeat as above.  Reconstruction finds e once p^k > 2*max(|y|, e)^2,
+      and e <= |det M| is below the Hadamard bound of M.  gcd(e, y) is then
+      divided out, so e is the exact denominator of x, which divides the
+      last invariant factor of M and so det M.
     """
     rows, n = m.data, m.rows
     b = list(range(1, n + 1))
-    target = [det * bi for bi in b]
-    # |y_i| is a minor with column i replaced by b; its rows have norms at
-    # most sqrt(|row_r|^2 + b_r^2)
-    bound_bits = (sum((sum(x * x for x in row) + br * br).bit_length()
-                      for row, br in zip(rows, b)) + 1) // 2
-    solve = _lu_solver(rows, n)
+    sq = [sum(x * x for x in row) for row in rows]
+    cramer_bits = _hadamard_bits(s + br * br for s, br in zip(sq, b))
+    e = det
+    if det is None:
+        cap = 2 * max(cramer_bits, _hadamard_bits(sq)) + 2
+        next_try = 0
+    else:
+        cap = cramer_bits + 2
     r, x, pk, prev = b, [0] * n, 1, None
     while True:
         digit = solve([ri % _P for ri in r])
         x = [xi + pk * di for xi, di in zip(x, digit)]
         pk *= _P
         r = [(ri - sum(map(mul, row, digit))) // _P for ri, row in zip(r, rows)]
+        bits = pk.bit_length()
+        final = bits > cap
+        if det is None and (bits >= next_try or final):
+            next_try = bits * 5 // 4
+            cand = _common_denominator(x, pk)
+            if cand is not None and cand != e:
+                e, prev = cand, None
+        if e is None:
+            if final:
+                raise InternalError("p-adic lifting passed the Hadamard bound unsolved")
+            continue
         half = pk >> 1
-        y = [(det * xi + half) % pk - half for xi in x]
-        final = pk.bit_length() > bound_bits + 2
+        y = [(e * xi + half) % pk - half for xi in x]
         if y == prev or final:
-            if [sum(map(mul, row, y)) for row in rows] == target:
-                return y
+            if [sum(map(mul, row, y)) for row in rows] == [e * bi for bi in b]:
+                if det is None:
+                    g = gcd(e, *y)
+                    e, y = e // g, [yi // g for yi in y]
+                return e, y
             if final:
                 raise InternalError("p-adic lifting passed the Hadamard bound unsolved")
         prev = y
 
 
-def _entry_massager(m: IntMat, det: int) -> SmithMassager:
+def _lifted_determinant(m: IntMat, bareiss: Callable[[], int]
+                        ) -> tuple[int, list[int] | None]:
+    """|det M| of a square M, and y = |det M|*M^-1*b for `_entry_massager`
+    when the p-adic solve ran (None when it did not).
+
+    One LU mod p gives det M mod p.  det/e is the symmetric residue of
+    det*e^-1 once the residues' modulus exceeds 2*H/e, H the Hadamard bound
+    of M.  With e = 1 that may hold for p alone; then no lift runs here.
+    Otherwise one lift without a determinant gives x = y/e with e | det M,
+    and one more LU modulo _P2 adds a residue when needed.  `bareiss`
+    supplies |det M| when p divides det M (the LU finds no pivot; M may be
+    singular), when the bound needs more residues, or when _P2 divides
+    det M; a lifted vector is then reused, scaled by |det|/e.
+    """
+    rows, n = m.data, m.rows
+    lu = _lu_mod(rows, n, _P)
+    if lu is None:
+        return bareiss(), None
+    solve, det_p = lu
+    h = _hadamard_bits(sum(x * x for x in row) for row in rows)
+    # H < 2^h, so a modulus of more than h + 2 - e.bit_length() bits is
+    # above 2*H/e; with e = 1, p alone may already be
+    e, y = (1, None) if _P.bit_length() > h + 1 else _lifted_solution(m, solve)
+    need = h + 2 - e.bit_length()
+    q, mod = det_p * pow(e, -1, _P) % _P, _P
+    if mod.bit_length() <= need < (_P * _P2).bit_length():
+        lu2 = _lu_mod(rows, n, _P2)
+        if lu2 is not None:
+            q2 = lu2[1] * pow(e, -1, _P2) % _P2
+            q += _P * ((q2 - q) * pow(_P, -1, _P2) % _P2)
+            mod *= _P2
+    if mod.bit_length() > need:
+        det = e * abs(q - mod if 2 * q > mod else q)
+    else:
+        det = bareiss()
+        if det % e:
+            raise InternalError("lifted denominator does not divide the determinant")
+    return det, None if y is None else [det // e * yi for yi in y]
+
+
+def _entry_massager(m: IntMat, det: int, y: list[int] | None = None) -> SmithMassager:
     """Reduced Smith massager of a nonsingular M whose |det M| is known.
 
-    One p-adic solve y = det*M^-1*b splits det = d1*d2 with d1 the part of
-    det coprime to the content of y.  At each prime q of d1 the element y/det
-    of G = M^-1*Z^n / Z^n has the full order q^v_q(det), so the q-part of
-    G is cyclic and the Smith form carries all of d1 in its last factor.  The
-    deterministic passes then run modulo the leftover d2 only, and the last
-    massager column is the CRT of theirs with y mod d1.  An upper-triangular
-    block, or one whose det the lifting prime divides, skips the solve
-    (d1 = 1): the result is then smith_massager's.
+    One p-adic solve y = det*M^-1*b (run here unless the caller hands y in)
+    splits det = d1*d2 with d1 the part of det coprime to the content of y.
+    At each prime q of d1 the element y/det of G = M^-1*Z^n / Z^n has the
+    full order q^v_q(det), so the q-part of G is cyclic and the Smith form
+    carries all of d1 in its last factor.  The deterministic passes then
+    run modulo the leftover d2 only, and the last massager column is the CRT
+    of theirs with y mod d1.  An upper-triangular block, or one whose det
+    the lifting prime divides, skips the solve (d1 = 1): the result is then
+    smith_massager's.
 
     The result is certified by prod S == det and M*F == 0 column-modulo S;
     see the module docstring for why that suffices.  A failure raises
@@ -334,9 +453,8 @@ def _entry_massager(m: IntMat, det: int) -> SmithMassager:
     n, rows = m.rows, m.data
     if det == 1:
         return SmithMassager(SmithForm((1,) * n), IntMat.zeros(n, n))
-    y = None
-    if det % _P and any(any(rows[i][:i]) for i in range(1, n)):
-        y = _lifted_solution(m, det)
+    if y is None and det % _P and not m.is_upper_triangular():
+        y = _lifted_solution(m, _lu_mod(rows, n, _P)[0], det)[1]
     d1 = 1 if y is None else modn.coprime_part(det, gcd(det, *y))
     d2 = det // d1
     diag, v = _massager_mod([[x % d2 for x in row] for row in rows], n, d2)

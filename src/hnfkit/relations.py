@@ -25,11 +25,15 @@ from .intmat import (
     SmithForm,
     _bareiss,
     colmod_mul,
+    determinant,
     hstack,
     vstack,
 )
-from .massager import _entry_massager, smith_massager
+from .massager import _entry_massager, _lifted_determinant, smith_massager
 from .structured_hermite import coprime_parts, hermite_of_stack
+
+# the square route's gate: every entry of M below a machine word in size
+_WORD = 1 << 64
 
 
 def pivot_permutation(m: IntMat) -> tuple[tuple[int, ...], int]:
@@ -41,6 +45,10 @@ def pivot_permutation(m: IntMat) -> tuple[tuple[int, ...], int]:
     is nonzero.  The chosen rows come first in the order they were picked,
     the others follow in their original order.  A column without a pivot
     means rank deficiency and raises PreconditionError.
+
+    `to_smith_coprime` runs it on tall moduli, on square ones with entries
+    wider than a machine word, and as the fallback of the square route (see
+    `_pivot_block`).
     """
     if m.cols > m.rows:
         raise PreconditionError("more columns than rows: cannot have full column rank")
@@ -55,6 +63,31 @@ def apply_row_order(m: IntMat, order: tuple[int, ...]) -> IntMat:
     return IntMat._of_rows([list(m.data[i]) for i in order], m.rows, m.cols)
 
 
+def _pivot_block(m: IntMat) -> tuple[IntMat, int, list[int] | None]:
+    """M with a nonsingular block on top, |det| of that block, and
+    y = |det|*block^-1*b when the p-adic solve already ran.
+
+    A square M is its own block: a row permutation has the same massagers,
+    and the Hermite basis is canonical.  If it is upper triangular, |det| is
+    its diagonal product.  If its entries fit in a machine word,
+    `massager._lifted_determinant` certifies |det| from one LU mod p and one
+    Dixon lift, and falls back to `pivot_permutation`'s Bareiss elimination
+    only when a bound fails.  Any other M gets `pivot_permutation`.  A
+    singular or rank-deficient M raises PreconditionError.
+    """
+    if m.is_square():
+        if m.is_upper_triangular():
+            det = abs(determinant(m))
+            if det == 0:
+                raise PreconditionError("modulus does not have full column rank")
+            return m, det, None
+        if all(-_WORD < x < _WORD for row in m.data for x in row):
+            det, y = _lifted_determinant(m, lambda: pivot_permutation(m)[1])
+            return m, det, y
+    order, det = pivot_permutation(m)
+    return apply_row_order(m, order), det, None
+
+
 def to_smith_coprime(m: IntMat, g: IntMat) -> tuple[SmithForm, IntMat]:
     """Rewrite the relations input (M, G) as a coprime Smith-modulus pair.
 
@@ -65,22 +98,23 @@ def to_smith_coprime(m: IntMat, g: IntMat) -> tuple[SmithForm, IntMat]:
     preserves the relations lattice, and every modular product is one
     `colmod_mul`.
 
-    The pivot selection already knows |det| of the pivot block, so step 2
-    hands it to the entry massager, which gets the dense part of the Smith
-    form from one p-adic solve.  The later massager inputs are Hermite bases,
-    which go to the deterministic `smith_massager`; `determinant` reads their
-    determinant off the diagonal.
+    Step 1 knows |det| of the pivot block (`_pivot_block`), and for a square
+    word-size M also the p-adic solve that certified it.  Step 2 hands both
+    to the entry massager, which gets the dense part of the Smith form from
+    that solve (running it itself when it has not run yet).  The later
+    massager inputs are Hermite bases, which go to the deterministic
+    `smith_massager`; `determinant` reads their determinant off the
+    diagonal.
     """
     if m.cols != g.cols:
         raise DimensionError("modulus and G must agree on column count")
     cols = m.cols
-    # 1: permute a nonsingular block to the top
-    order, det = pivot_permutation(m)
-    pm = apply_row_order(m, order)
+    # 1: a nonsingular block on top, with |det| of it
+    pm, det, y = _pivot_block(m)
     # 2: Smith form of the pivot block, folded through the massager
     m1 = pm.submatrix(0, cols, 0, cols)
     m2 = pm.submatrix(cols, pm.rows, 0, cols)
-    mas1 = _entry_massager(m1, det)
+    mas1 = _entry_massager(m1, det, y)
     s1, v1 = mas1.s, mas1.f
     m3 = colmod_mul(m2, v1, s1)
     g1 = colmod_mul(g, v1, s1)

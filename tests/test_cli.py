@@ -161,6 +161,14 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
 
+    def test_digits_outside_ascii_are_3(self, tmp_path, capsys):
+        for tok in ("\u00b2", "\u0663", "\uff11"):
+            path = tmp_path / "digit.mat"
+            path.write_text(f"1 1\n{tok}\n", encoding="utf-8")
+            code, out, err = run_cli(["hnf", "--in", str(path)], capsys)
+            assert code == 3 and out == ""
+            assert err.startswith("input error: ") and err.count("\n") == 1
+
     def test_missing_file_is_3(self, capsys):
         code, _, _ = run_cli(["hnf", "--in", "/nonexistent/x.mat"], capsys)
         assert code == 3

@@ -374,6 +374,13 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_matrix("1 1 5 9")
 
+    @pytest.mark.parametrize("tok", ["\u00b2", "\u0663", "\uff11", "-\u0663", "1\u00b2", "-"])
+    def test_rejects_digits_outside_ascii(self, tok):
+        # str.isdigit accepts all of these digits; int() rejects '²' with a
+        # ValueError and reads '٣' and '１' as 3 and 1
+        with pytest.raises(ParseError, match="bad integer token"):
+            parse_matrix(f"1 1\n{tok}\n")
+
     def test_zero_dimension(self):
         a = IntMat([], 0, 3)
         assert parse_matrix(format_matrix(a)) == a

@@ -123,7 +123,10 @@ def _udv(diag):
 def _lifted_part(m):
     """d1: the part of |det m| that the p-adic solve settles."""
     d = abs(determinant(m))
-    return coprime_part(d, gcd(d, *massager._lifted_solution(m, d)))
+    solve = massager._lu_mod(m.data, m.rows, P61)[0]
+    e, y = massager._lifted_solution(m, solve, d)
+    assert e == d
+    return coprime_part(d, gcd(d, *y))
 
 
 class TestEntryMassager:
@@ -193,21 +196,30 @@ class TestEntryMassager:
             assert verify_massager(m, mas)
 
     def test_wrong_lifted_vector_is_caught(self, monkeypatch, tmp_path, capsys):
-        m = IntMat([[5, -1, -2, 9], [-6, 1, -9, -9], [-9, 8, -9, 3], [-3, 4, -9, 7]])
+        small = IntMat([[5, -1, -2, 9], [-6, 1, -9, -9], [-9, 8, -9, 3], [-3, 4, -9, 7]])
+        # one LU mod p pins small's det down, so hnf lifts with det known;
+        # wide's Hadamard bound is above p, so hnf lifts without a det
+        wide = IntMat([[-662, -143, 413, -143, 301, -423], [-18, 728, -557, 624, -27, 655],
+                       [973, 50, -624, 35, 81, -516], [615, -993, -971, -240, 911, 199],
+                       [-123, -858, -703, 626, 539, -524], [888, -523, 422, -913, -105, 513]])
         honest = massager._lifted_solution
+        dets = []
 
-        def off_by_one(mat, det):
-            y = honest(mat, det)
-            return [y[0] + 1] + y[1:]
+        def off_by_one(m, solve, det=None):
+            dets.append(det)
+            e, y = honest(m, solve, det)
+            return e, [y[0] + 1] + y[1:]
         monkeypatch.setattr(massager, "_lifted_solution", off_by_one)
         with pytest.raises(InternalError, match="M\\*F is not zero"):
-            massager._entry_massager(m, 438)
-        with pytest.raises(InternalError):
-            hnf(m)
-        path = tmp_path / "m.mat"
-        path.write_text(format_matrix(m))
-        assert cli.main(["hnf", "--in", str(path)]) == cli.EXIT_INTERNAL
-        assert capsys.readouterr().out == ""
+            massager._entry_massager(small, 438)
+        for m in (small, wide):
+            with pytest.raises(InternalError, match="M\\*F is not zero"):
+                hnf(m)
+            path = tmp_path / "m.mat"
+            path.write_text(format_matrix(m))
+            assert cli.main(["hnf", "--in", str(path)]) == cli.EXIT_INTERNAL
+            assert capsys.readouterr().out == ""
+        assert dets == [438, 438, 438, None, None]
 
     def test_invariant_checks_run_verify_massager(self, monkeypatch):
         calls = []
