@@ -25,6 +25,7 @@ from .intmat import (
     InternalError,
     ParseError,
     PreconditionError,
+    _parse_int,
     annihilates,
     format_matrix,
     invariant_checks,
@@ -104,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("relbasis", help="Hermite basis of a relations lattice"),
            needs_mod=True)
     ph = common(sub.add_parser("howell", help="Howell form and transform over Z/(N)"))
-    ph.add_argument("modulus_n", type=int, metavar="N", help="the residue ring modulus")
+    # N is read by the matrix parser's integer rule, in _run
+    ph.add_argument("modulus_n", metavar="N", help="the residue ring modulus")
     common(sub.add_parser("remainder", help="remainder of a matrix modulo a Hermite basis"),
            needs_mod=True)
     common(sub.add_parser("product-hnf", help="Hermite basis of a product (two --in files)"))
@@ -143,8 +145,8 @@ def _run(args) -> int:
             f = _one_input(args)
             _emit([relations_hermite_basis(mod, f).mat], args.out)
         elif args.command == "howell":
-            a = _one_input(args)
-            res = howell_form(a, args.modulus_n)
+            n = _parse_int(args.modulus_n)
+            res = howell_form(_one_input(args), n)
             _emit([res.h, res.u], args.out)
         elif args.command == "remainder":
             mod = HermiteBasis(_read(args.mod))

@@ -5,10 +5,10 @@ of M, M*F == 0 column-modulo S, and (S, F) coprime; the reduced variant keeps
 F column-reduced modulo S.  The massager compactly carries the denominator
 structure of M^{-1} and is the interchange format of the whole pipeline.
 
-Two engines share one modular core, `_massager_mod`: alternating row and
-column Hermite passes carried out modulo a divisor N of the determinant,
-tracking only the right multiplier, then a gcd/lcm repair of the
-divisibility chain.
+Two engines share one modular core, `_massager_mod`: one Hermite pass
+modulo a divisor N of the determinant, run alternately on the rows of M and,
+as the column pass, on the rows of [M^T | V^T], so that only the right
+multiplier V is tracked; then a gcd/lcm repair of the divisibility chain.
 
 * `smith_massager`, the public engine, runs the core with N = |det M|.
 * `_entry_massager` serves only the dense pivot block of
@@ -86,130 +86,79 @@ class SmithMassager:
         require_colreduced(self.f, self.s, "massager F")
 
 
-def _is_diagonal(a: list[list[int]], n: int) -> bool:
-    return all(a[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+def _is_diagonal(a: list[list[int]]) -> bool:
+    return not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a))
 
 
-def _row_pass_modd(a: list[list[int]], n: int, d: int) -> None:
-    """Row Hermite pass with all entries kept in [0, d).
+def _hermite_pass(rows: list[list[int]], n: int, d: int, fold_column: bool) -> None:
+    """Row Hermite pass on the leading n x n block, all entries in [0, d).
 
-    Valid because d*Z^n lies inside the working lattice throughout, so every
+    Every row operation acts on whole rows, so entries past column n (the
+    transform, when the rows are those of [M^T | V^T]) follow along.  Valid
+    because d*Z^n lies inside the working lattice throughout, so every
     entrywise reduction modulo d is a row operation against the implicit
     d-scaled block; that block never leaves the lattice since the column
     transform stays unimodular.  Each pivot is additionally folded with d, so
-    pivots are always divisors of d.
+    pivots are always divisors of d.  The fold scales a row of M, which the
+    transform does not track: row k here, or with `fold_column` (the rows
+    hold columns of M) column k.
     """
-    for col in range(n):
-        for i in range(col + 1, n):
-            b = a[i][col]
+    for k in range(n):
+        for i in range(k + 1, n):
+            b = rows[i][k]
             if b == 0:
                 continue
-            p = a[col][col]
+            p = rows[k][k]
             if p != 0 and b % p == 0:
                 q = b // p
-                a[i] = [(x - q * y) % d for x, y in zip(a[i], a[col])]
+                rows[i] = [(x - q * y) % d for x, y in zip(rows[i], rows[k])]
                 continue
             g, uu, vv = modn.ext_gcd(p, b)
             c21, c22 = -(b // g), p // g
-            ak, ai = a[col], a[i]
-            a[col] = [(uu * x + vv * y) % d for x, y in zip(ak, ai)]
-            a[i] = [(c21 * x + c22 * y) % d for x, y in zip(ak, ai)]
-            a[col][col] = g % d
-        p = a[col][col]
+            ak, ai = rows[k], rows[i]
+            rows[k] = [(uu * x + vv * y) % d for x, y in zip(ak, ai)]
+            rows[i] = [(c21 * x + c22 * y) % d for x, y in zip(ak, ai)]
+            rows[k][k] = g % d
+        p = rows[k][k]
         gd = gcd(p, d)
         if gd != p:
             # fold in the implicit d-row so the pivot divides d; the scaling
-            # must be a unit modulo d to preserve the lattice mod d*Z^n
-            if p == 0:
-                a[col][col] = d
-            else:
+            # must be a unit modulo d to preserve the lattice mod d*Z^n.  The
+            # entries below the pivot are zero already, so they need no pass.
+            if p:
                 w = modn.unit_stabilizer(p, d)
-                a[col] = [(w * x) % d for x in a[col]]
-                a[col][col] = gd
-        for i in range(col + 1, n):
-            b = a[i][col]
-            if b:
-                q = b // a[col][col]
-                a[i] = [(x - q * y) % d for x, y in zip(a[i], a[col])]
-        p = a[col][col]
-        for i in range(col):
-            q = a[i][col] // p
+                if fold_column:
+                    for row in rows[:k]:
+                        row[k] = w * row[k] % d
+                else:
+                    rows[k] = [w * x % d for x in rows[k]]
+            rows[k][k] = p = gd
+        for i in range(k):
+            q = rows[i][k] // p
             if q:
-                a[i] = [(x - q * y) % d for x, y in zip(a[i], a[col])]
-
-
-def _col_pass_modd(a: list[list[int]], v: list[list[int]], n: int, d: int) -> None:
-    """Column Hermite pass with entries in [0, d); transform tracked mod d."""
-
-    def col_op(j, k, c11, c12, c21, c22):
-        for row in a:
-            x, y = row[k], row[j]
-            row[k], row[j] = (c11 * x + c12 * y) % d, (c21 * x + c22 * y) % d
-        for row in v:
-            x, y = row[k], row[j]
-            row[k], row[j] = (c11 * x + c12 * y) % d, (c21 * x + c22 * y) % d
-
-    for r in range(n):
-        for j in range(r + 1, n):
-            b = a[r][j]
-            if b == 0:
-                continue
-            p = a[r][r]
-            if p != 0 and b % p == 0:
-                q = b // p
-                for row in a:
-                    row[j] = (row[j] - q * row[r]) % d
-                for row in v:
-                    row[j] = (row[j] - q * row[r]) % d
-                continue
-            g, uu, vv = modn.ext_gcd(p, b)
-            col_op(j, r, uu, vv, -(b // g), p // g)
-            a[r][r] = g % d
-        p = a[r][r]
-        gd = gcd(p, d)
-        if gd != p:
-            if p == 0:
-                a[r][r] = d
-            else:
-                # the fold is a unit row scaling, so it does not touch the
-                # column transform
-                w = modn.unit_stabilizer(p, d)
-                a[r] = [(w * x) % d for x in a[r]]
-                a[r][r] = gd
-        for j in range(r + 1, n):
-            b = a[r][j]
-            if b:
-                q = b // a[r][r]
-                for row in a:
-                    row[j] = (row[j] - q * row[r]) % d
-                for row in v:
-                    row[j] = (row[j] - q * row[r]) % d
-        p = a[r][r]
-        for j in range(r):
-            q = a[r][j] // p
-            if q:
-                for row in a:
-                    row[j] = (row[j] - q * row[r]) % d
-                for row in v:
-                    row[j] = (row[j] - q * row[r]) % d
+                rows[i] = [(x - q * y) % d for x, y in zip(rows[i], rows[k])]
 
 
 def _massager_mod(a: list[list[int]], n: int, d: int) -> tuple[list[int], list[list[int]]]:
     """Smith form of M over Z/(d) and a right transform V, tracked mod d.
 
-    `a` holds M with entries in [0, d) and is overwritten.  The diagonal
+    `a` holds M with entries in [0, d) and is consumed.  The diagonal
     entries are gcd(s_i, d) for the invariant factors s_i of M, in a
     divisibility chain; every column j of V satisfies M*v_j == 0 modulo the
     j-th entry.  d must be a unitary divisor of |det M| (coprime to its
     cofactor), so the entries multiply to d exactly; that is checked.
     """
-    v = IntMat.identity(n).to_rows()
+    vt = IntMat.identity(n).to_rows()   # V^T, transposed back on return
     passes = 0
-    while not _is_diagonal(a, n):
-        _row_pass_modd(a, n, d)
-        if _is_diagonal(a, n):
+    while not _is_diagonal(a):
+        _hermite_pass(a, n, d, fold_column=False)
+        if _is_diagonal(a):
             break
-        _col_pass_modd(a, v, n, d)
+        # the column pass: row j of [M^T | V^T] is column j of M, then of V
+        t = [list(col) + vr for col, vr in zip(zip(*a), vt)]
+        _hermite_pass(t, n, d, fold_column=True)
+        a = [list(row) for row in zip(*[tr[:n] for tr in t])]
+        vt = [tr[n:] for tr in t]
         passes += 1
         if passes > 16 * (n + 4):
             raise InternalError("modular smith reduction failed to converge")
@@ -225,16 +174,14 @@ def _massager_mod(a: list[list[int]], n: int, d: int) -> tuple[list[int], list[l
             lcm = di // g * dj
             # row i gains column j's entry, then the pair splits as gcd/lcm;
             # on the transform side column i absorbs column j once
-            for row in v:
-                row[i] = (row[i] + row[j]) % d
+            vt[i] = [(x + y) % d for x, y in zip(vt[i], vt[j])]
             _, uu, vv = modn.ext_gcd(di, dj)
             q = (vv * dj) // g
-            for row in v:
-                row[j] = (row[j] - q * row[i]) % d
+            vt[j] = [(x - q * y) % d for x, y in zip(vt[j], vt[i])]
             diag[i], diag[j] = g, lcm
     if prod(diag) != d:
         raise InternalError("invariant factor product does not match the determinant")
-    return diag, v
+    return diag, [list(col) for col in zip(*vt)]
 
 
 def smith_massager(m: IntMat) -> SmithMassager:
@@ -400,7 +347,8 @@ def _lifted_determinant(m: IntMat, bareiss: Callable[[], int]
 
     One LU mod p gives det M mod p.  det/e is the symmetric residue of
     det*e^-1 once the residues' modulus exceeds 2*H/e, H the Hadamard bound
-    of M.  With e = 1 that may hold for p alone; then no lift runs here.
+    of M.  With e = 1 that may hold for p alone; then det is read off the LU
+    and y lifted with det known, from the same LU (no lift when det is 1).
     Otherwise one lift without a determinant gives x = y/e with e | det M,
     and one more LU modulo _P2 adds a residue when needed.  `bareiss`
     supplies |det M| when p divides det M (the LU finds no pivot; M may be
@@ -415,7 +363,10 @@ def _lifted_determinant(m: IntMat, bareiss: Callable[[], int]
     h = _hadamard_bits(sum(x * x for x in row) for row in rows)
     # H < 2^h, so a modulus of more than h + 2 - e.bit_length() bits is
     # above 2*H/e; with e = 1, p alone may already be
-    e, y = (1, None) if _P.bit_length() > h + 1 else _lifted_solution(m, solve)
+    if _P.bit_length() > h + 1:
+        det = abs(det_p - _P if 2 * det_p > _P else det_p)
+        return det, None if det == 1 else _lifted_solution(m, solve, det)[1]
+    e, y = _lifted_solution(m, solve)
     need = h + 2 - e.bit_length()
     q, mod = det_p * pow(e, -1, _P) % _P, _P
     if mod.bit_length() <= need < (_P * _P2).bit_length():
@@ -430,7 +381,7 @@ def _lifted_determinant(m: IntMat, bareiss: Callable[[], int]
         det = bareiss()
         if det % e:
             raise InternalError("lifted denominator does not divide the determinant")
-    return det, None if y is None else [det // e * yi for yi in y]
+    return det, [det // e * yi for yi in y]
 
 
 def _entry_massager(m: IntMat, det: int, y: list[int] | None = None) -> SmithMassager:

@@ -150,6 +150,10 @@ class TestExitCodes:
         for args in (["hnf", "--in", good, "--epsilon", "abc"],
                      ["hnf", "--in", good, "--epsilon", "0.5"],
                      ["howell", "x", "--in", good],
+                     # N follows the matrix parser's integer rule
+                     ["howell", "\u0663", "--in", good],
+                     ["howell", " 7", "--in", good],
+                     ["howell", "1_0", "--in", good],
                      ["relbasis", "--in", good]):
             code, out, err = run_cli(args, capsys)
             assert code == 3 and out == ""

@@ -28,9 +28,24 @@ class TestSmithDecomposition:
     """The Smith form S computed by smith_massager."""
 
     def test_golden(self):
-        mas = smith_massager(EX4)
-        assert mas.s.diag == (1, 1, 24)
-        assert verify_massager(EX4, mas)
+        # F is not canonical (it follows ext_gcd's cofactors), so it is pinned
+        # bit for bit along with S
+        cases = [
+            (EX4, (1, 1, 24), [[0, 0, 17], [0, 0, 14], [0, 0, 9]]),
+            # the column pass folds a pivot with d
+            (IntMat([[0, -3, 7], [4, 1, 1], [8, -1, -5]]), (1, 2, 84),
+             [[0, 1, 71], [0, 1, 28], [0, 1, 24]]),
+            # both the row and the column pass fold a pivot
+            (IntMat([[-8, 6, -4, -2], [-9, -1, 4, 1], [-8, 8, -6, 5], [0, -1, -2, 6]]),
+             (1, 1, 1, 1572),
+             [[0, 0, 0, 760], [0, 0, 0, 1222], [0, 0, 0, 967], [0, 0, 0, 1050]]),
+            # diagonal, but not a divisibility chain: the chain repair runs
+            (IntMat.diagonal([4, 6]), (2, 12), [[1, 9], [1, 10]]),
+        ]
+        for m, diag, f in cases:
+            mas = smith_massager(m)
+            assert (mas.s.diag, mas.f.to_rows()) == (diag, f)
+            assert verify_massager(m, mas)
 
     def test_diagonal_pair(self):
         m = IntMat.diagonal([4, 6])
